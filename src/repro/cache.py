@@ -3,7 +3,8 @@
 Two stores under one root make repeated CLI invocations incremental:
 
 * ``devices/`` — parsed :class:`~repro.model.device.DeviceConfig`
-  objects (pickled, with their component fingerprints already computed),
+  objects (pickled, with their component fingerprints, template and
+  component spans already computed),
   keyed by the SHA-256 of the configuration *text* plus filename,
   dialect, and strictness — re-running over an unchanged file skips the
   parser entirely.
@@ -75,7 +76,11 @@ __all__ = [
 #: Bump when the on-disk layout or pickled payload shape changes.
 #: v2: diff entries may carry localization-replay fields ("localized",
 #: "provenance", "replay") and stats() reports localized entry counts.
-CACHE_SCHEMA_VERSION = 2
+#: v3: device pickles carry the template and component spans besides
+#: the fingerprints; diff entries keep their keys in insertion order
+#: (v2 sorted them, so replayed ``example``/``extra_localizations``
+#: objects printed in another key order than a cold run).
+CACHE_SCHEMA_VERSION = 3
 
 CACHE_DIR_ENV = "CAMPION_CACHE_DIR"
 
@@ -192,8 +197,16 @@ class ArtifactCache:
         strict: bool,
         device: DeviceConfig,
     ) -> None:
-        """Store a parsed device (fingerprints ride along pickled)."""
-        device.fingerprints  # ensure the cached property is materialized
+        """Store a parsed device with its derived artifacts.
+
+        Every lazily cached device property is materialized first so it
+        rides along in the pickle and a warm run never recomputes it.
+        A new such property must be added here, with a
+        :data:`CACHE_SCHEMA_VERSION` bump.
+        """
+        device.fingerprints
+        device.template
+        device.component_spans
         digest = self._digest(
             _DEVICES, self.device_text_key(text, filename, dialect, strict)
         )
@@ -240,9 +253,9 @@ class ArtifactCache:
             "key": repr(key),
             "entry": entry,
         }
-        self._write_atomic(
-            path, json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
+        # Insertion order, not sorted keys: replay copies ``example``
+        # and ``extra_localizations`` verbatim into the report.
+        self._write_atomic(path, json.dumps(payload).encode("utf-8"))
         self._evict(_DIFFS)
 
     # -- maintenance ---------------------------------------------------------

@@ -45,7 +45,6 @@ import time
 from typing import List, Optional
 
 from . import perf
-from .baseline import monolithic_route_map_check, monolithic_static_route_check
 from .cache import ArtifactCache, resolve_cache_dir
 from .core import (
     BACKEND_NAMES,
@@ -54,6 +53,7 @@ from .core import (
     compare_fleet,
     config_diff,
     fleet_report_to_dict,
+    json_text,
     render_report,
     render_semantic_difference,
     report_to_json,
@@ -196,6 +196,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    from .baseline import (
+        monolithic_route_map_check,
+        monolithic_static_route_check,
+    )
+
     device1 = _load(args, args.config1)
     device2 = _load(args, args.config2)
     found = False
@@ -293,11 +298,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # every pairwise comparison failed — no verdict at all
         return _fail(str(exc))
     if args.json:
-        import json
-
         # Timing-free and deterministically ordered: two runs over the
         # same fleet (cold or warm) print byte-identical JSON.
-        print(json.dumps(fleet_report_to_dict(report), indent=2))
+        print(json_text(fleet_report_to_dict(report)))
     else:
         print(report.render_summary())
         if report.symmetry is not None:

@@ -253,7 +253,11 @@ def _walk_components(
                     continue
             if collect:
                 provenance = localization_provenance(
-                    map1, map2, pair.context, pair.name1, pair.name2
+                    device1.component_spans[("route-map", pair.name1)],
+                    device2.component_spans[("route-map", pair.name2)],
+                    pair.context,
+                    pair.name1,
+                    pair.name2,
                 )
             if (
                 entry is not None
@@ -338,7 +342,11 @@ def _walk_components(
                     continue
             if collect:
                 provenance = localization_provenance(
-                    acl1, acl2, f"ACL {pair.name1}", pair.name1, pair.name2
+                    device1.component_spans[("acl", pair.name1)],
+                    device2.component_spans[("acl", pair.name2)],
+                    f"ACL {pair.name1}",
+                    pair.name1,
+                    pair.name2,
                 )
             if (
                 entry is not None

@@ -18,7 +18,6 @@ rest of the serialized report (schema v4 carries it).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
@@ -110,25 +109,6 @@ class DeviceCoverage:
         return "; ".join(parts)
 
 
-def _walk_spans(value: object) -> Iterable[SourceSpan]:
-    """Every non-empty SourceSpan reachable from a model object."""
-    if isinstance(value, SourceSpan):
-        if not value.is_empty():
-            yield value
-        return
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for field in dataclasses.fields(value):
-            yield from _walk_spans(getattr(value, field.name))
-        return
-    if isinstance(value, dict):
-        for item in value.values():
-            yield from _walk_spans(item)
-        return
-    if isinstance(value, (list, tuple, set, frozenset)):
-        for item in value:
-            yield from _walk_spans(item)
-
-
 def _span_lines(span: SourceSpan, filename: str) -> Iterable[int]:
     if span.filename == filename and span.start_line > 0:
         return range(span.start_line, span.end_line + 1)
@@ -138,27 +118,24 @@ def _span_lines(span: SourceSpan, filename: str) -> Iterable[int]:
 def policy_spans(device: DeviceConfig) -> List[Tuple[str, str, FrozenSet[int]]]:
     """``(kind, name, line_numbers)`` for every policy on a device.
 
-    Line numbers come from every span reachable from the policy object,
-    so a route map's footprint includes the definition lines of the
-    prefix/community lists its clauses resolve — those lines shape the
-    policy's behavior, so a difference touching the clause exercises
-    them too (they are where the operator must look).
+    Line numbers come from every span reachable from the policy object
+    (:attr:`~repro.model.device.DeviceConfig.component_spans`, walked
+    once per device and cached with it), so a route map's footprint
+    includes the definition lines of the prefix/community lists its
+    clauses resolve — those lines shape the policy's behavior, so a
+    difference touching the clause exercises them too (they are where
+    the operator must look).
     """
+    spans = device.component_spans
     result: List[Tuple[str, str, FrozenSet[int]]] = []
-    for name in sorted(device.acls):
-        lines = frozenset(
-            number
-            for span in _walk_spans(device.acls[name])
-            for number in _span_lines(span, device.filename)
-        )
-        result.append(("acl", name, lines))
-    for name in sorted(device.route_maps):
-        lines = frozenset(
-            number
-            for span in _walk_spans(device.route_maps[name])
-            for number in _span_lines(span, device.filename)
-        )
-        result.append(("route-map", name, lines))
+    for kind, policies in (("acl", device.acls), ("route-map", device.route_maps)):
+        for name in sorted(policies):
+            lines = frozenset(
+                number
+                for span in spans[(kind, name)]
+                for number in _span_lines(span, device.filename)
+            )
+            result.append((kind, name, lines))
     return result
 
 

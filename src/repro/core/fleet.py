@@ -50,9 +50,9 @@ everything against a known-good device in n-1 comparisons.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
@@ -126,20 +126,21 @@ def _elect_medoid(
     """The device with the smallest mean difference count to its peers.
 
     Deterministic under ties by construction: candidates are ranked by
-    ``(exact mean, hostname)``.  Means are compared as
-    :class:`~fractions.Fraction` — float division could round two
-    genuinely-equal means (different survivor counts) to unequal
-    floats, or vice versa, making the winner depend on accumulated
-    rounding rather than the hostname tie-break.  Input ordering (and
-    therefore parallel completion order, since callers build
-    ``survivors`` from the outcome list) never affects the result:
-    the hostname component of the key already totally orders the
-    candidates, so no pre-sorting is needed.
+    ``(exact mean, hostname)``.  Means are compared exactly, as sums
+    scaled to the least common multiple of the survivor counts — float
+    division could round two genuinely-equal means (different survivor
+    counts) to unequal floats, or vice versa, making the winner depend
+    on accumulated rounding rather than the hostname tie-break.  Input
+    ordering (and therefore parallel completion order, since callers
+    build ``survivors`` from the outcome list) never affects the
+    result: the hostname component of the key already totally orders
+    the candidates, so no pre-sorting is needed.
     """
+    scale = math.lcm(*(len(survivors[hostname]) for hostname in candidates))
     return min(
         candidates,
         key=lambda hostname: (
-            Fraction(sum(survivors[hostname]), len(survivors[hostname])),
+            sum(survivors[hostname]) * (scale // len(survivors[hostname])),
             hostname,
         ),
     )

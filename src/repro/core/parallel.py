@@ -29,9 +29,13 @@ the run as leaked fork children.
 Worker resolution: an explicit ``workers=N`` argument wins; ``None``
 falls back to the ``CAMPION_WORKERS`` environment variable, then to 1
 (serial).  ``workers=1`` never touches :mod:`multiprocessing` — callers
-on constrained platforms keep the exact serial code path.  The per-pair
-wall-clock timeout resolves the same way through ``timeout=`` and the
-``CAMPION_PAIR_TIMEOUT`` environment variable (``None`` = unbounded).
+on constrained platforms keep the exact serial code path, and the pool
+stack (:mod:`multiprocessing`, :mod:`concurrent.futures` and the
+``subprocess``/``socket``/``selectors`` modules they pull in) is
+imported only by the pool path, off every serial run's startup.  The
+per-pair wall-clock timeout resolves the same way through ``timeout=``
+and the ``CAMPION_PAIR_TIMEOUT`` environment variable (``None`` =
+unbounded).
 
 The ``fork`` start method is preferred (cheap, inherits the parsed
 configs' module state); platforms without it fall back to the default
@@ -41,12 +45,9 @@ functions.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import os
 import random
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -459,6 +460,9 @@ def _serial_outcomes(function: Callable, tasks: List[_Task]) -> List[PairOutcome
 def _make_executor(
     tasks: List[_Task], workers: int
 ) -> concurrent.futures.ProcessPoolExecutor:
+    import concurrent.futures
+    import multiprocessing
+
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platform without fork
@@ -540,6 +544,9 @@ def _pool_round(
     is an upper bound on useful work per pair rather than an exact
     stopwatch — the same contract the old ``apply_async`` loop had.
     """
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     executor = _make_executor(tasks, workers)
     futures: Dict[int, concurrent.futures.Future] = {}
     broken = False

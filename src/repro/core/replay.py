@@ -40,11 +40,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..model.types import SourceSpan
 from ..encoding.classes import EquivalenceClass
-from .coverage import _walk_spans
 from .header_localize import FlatTerm, Localization
 from .results import ComponentKind, SemanticDifference
 
@@ -57,8 +56,8 @@ __all__ = [
 
 
 def localization_provenance(
-    component1: object,
-    component2: object,
+    spans1: Sequence[SourceSpan],
+    spans2: Sequence[SourceSpan],
     context: str,
     name1: str,
     name2: str,
@@ -69,21 +68,19 @@ def localization_provenance(
     can share a fingerprint while sitting at different lines of their
     files.  This digest covers the residue a serialized difference
     exposes: every reachable source span's line range and raw text
-    (walked in the same deterministic order as
-    :func:`~repro.core.coverage.policy_spans`) plus the context and
-    policy-name labels SemanticDiff threads into each difference.
-    Filenames are deliberately excluded — they are rewritten per-device
-    at replay time.
+    (each component's
+    :attr:`~repro.model.device.DeviceConfig.component_spans`, in their
+    deterministic walk order) plus the context and policy-name labels
+    SemanticDiff threads into each difference.  Filenames are
+    deliberately excluded — they are rewritten per-device at replay
+    time.
     """
     material = {
         "context": context,
         "names": [name1, name2],
         "spans": [
-            [
-                [span.start_line, span.end_line, list(span.text)]
-                for span in _walk_spans(component)
-            ]
-            for component in (component1, component2)
+            [[span.start_line, span.end_line, list(span.text)] for span in spans]
+            for spans in (spans1, spans2)
         ],
     }
     canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))

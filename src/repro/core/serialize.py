@@ -10,7 +10,8 @@ examples; structural differences carry component/attribute/values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Dict, List, Optional
 
 from ..model.types import SourceSpan
 from .header_localize import Localization
@@ -23,6 +24,7 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "fleet_report_to_dict",
+    "json_text",
 ]
 
 # v2: adds "degraded", "aborted" (budget-tripped components), and
@@ -213,8 +215,117 @@ def fleet_report_to_dict(report) -> Dict:
     }
 
 
-def report_to_json(report: CampionReport, indent: int = 2) -> str:
-    """The report as a JSON string."""
-    import json
+def report_to_json(report: CampionReport) -> str:
+    """The report as a JSON string (:func:`json_text`)."""
+    return json_text(report_to_dict(report))
 
-    return json.dumps(report_to_dict(report), indent=indent, sort_keys=False)
+
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key: object) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        "keys must be str, int, float, bool or None, "
+        f"not {key.__class__.__name__}"
+    )
+
+
+def _write(value: object, newline: str, append: Callable[[str], None]) -> None:
+    """Append ``value``'s indented JSON; ``newline`` is ``"\n"`` plus the
+    indentation of the line ``value`` starts on.
+
+    Type checks follow :mod:`json`'s order, so subclasses (``IntEnum``,
+    ``OrderedDict``, tuples) encode exactly as the stdlib encodes them.
+    The loops below inline the exact-type scalar cases, which are most
+    values of a report, and recurse for everything else.
+    """
+    if isinstance(value, str):
+        append(_quote(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, float):
+        append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            append(separator)
+            separator = "," + inner
+            kind = type(item)
+            if kind is str:
+                append(_quote(item))
+            elif kind is int:
+                append(int.__repr__(item))
+            else:
+                _write(item, inner, append)
+        append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                key = _key_text(key)
+            append(separator + _quote(key) + ": ")
+            separator = "," + inner
+            kind = type(item)
+            if kind is str:
+                append(_quote(item))
+            elif kind is int:
+                append(int.__repr__(item))
+            else:
+                _write(item, inner, append)
+        append(newline + "}")
+    else:
+        raise TypeError(
+            f"Object of type {value.__class__.__name__} is not JSON serializable"
+        )
+
+
+def json_text(value: object) -> str:
+    """Exactly ``json.dumps(value, indent=2)``, about three times faster.
+
+    The stdlib encodes indented JSON with pure-Python generators (its C
+    encoder only runs without ``indent``); this writer appends to one
+    list and escapes strings with the stdlib's C
+    ``encode_basestring_ascii``.  It is the one writer of every
+    indented report the CLI prints.  Non-JSON values raise
+    :class:`TypeError` as :mod:`json` does; circular structures are not
+    detected and exhaust the recursion limit instead.
+    """
+    chunks: List[str] = []
+    _write(value, "\n", chunks.append)
+    return "".join(chunks)

@@ -22,7 +22,7 @@ from .interface import Interface
 from .ospf import OspfProcess
 from .routemap import AsPathList, CommunityList, PrefixList, RouteMap
 from .static_route import ConnectedRoute, StaticRoute
-from .types import SourceSpan
+from .types import SourceSpan, reachable_spans
 
 __all__ = ["DeviceConfig", "DEFAULT_ADMIN_DISTANCES"]
 
@@ -94,6 +94,30 @@ class DeviceConfig:
 
             cached = compute_template(self)
             self.__dict__["_template"] = cached
+        return cached
+
+    @property
+    def component_spans(self) -> Dict[Tuple[str, str], Tuple[SourceSpan, ...]]:
+        """Each ACL's and route map's reachable spans, computed lazily once.
+
+        Keyed ``("acl", name)`` / ``("route-map", name)``; the value is
+        :func:`~repro.model.types.reachable_spans` of the policy, which
+        includes the spans of resolved sub-objects (prefix lists a
+        clause matches, ...).  Coverage and the memo's localization
+        provenance both read it; like :attr:`fingerprints`, the cached
+        value pickles with the device.
+        """
+        cached = self.__dict__.get("_component_spans")
+        if cached is None:
+            cached = {
+                ("acl", name): reachable_spans(acl)
+                for name, acl in self.acls.items()
+            }
+            cached.update(
+                (("route-map", name), reachable_spans(route_map))
+                for name, route_map in self.route_maps.items()
+            )
+            self.__dict__["_component_spans"] = cached
         return cached
 
     def parse_errors(self) -> List[Diagnostic]:

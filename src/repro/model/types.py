@@ -17,9 +17,10 @@ live in sets and be compared structurally (StructuralDiff relies on this).
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "ip_to_int",
@@ -29,6 +30,7 @@ __all__ = [
     "PrefixRange",
     "Community",
     "SourceSpan",
+    "reachable_spans",
     "ConfigError",
 ]
 
@@ -303,3 +305,41 @@ class SourceSpan:
     def is_empty(self) -> bool:
         """Whether the span carries no text."""
         return not self.text
+
+
+#: Dataclass field names per class, resolved once (the set of model
+#: classes is small and fixed).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _collect_spans(value: object, append: Callable[[SourceSpan], None]) -> None:
+    if isinstance(value, SourceSpan):
+        if not value.is_empty():
+            append(value)
+        return
+    cls = type(value)
+    names = _FIELD_NAMES.get(cls)
+    if names is None and dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        _FIELD_NAMES[cls] = names
+    if names is not None:
+        for name in names:
+            _collect_spans(getattr(value, name), append)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _collect_spans(item, append)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            _collect_spans(item, append)
+
+
+def reachable_spans(value: object) -> Tuple[SourceSpan, ...]:
+    """Every non-empty SourceSpan reachable from a model object.
+
+    Depth-first in a deterministic order: dataclass fields in
+    declaration order, dict values in insertion order, sequence items
+    in order.  Field names are resolved once per class.
+    """
+    spans: List[SourceSpan] = []
+    _collect_spans(value, spans.append)
+    return tuple(spans)

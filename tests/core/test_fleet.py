@@ -68,7 +68,7 @@ class TestMedoidElection:
 
     def test_exact_means_not_float_rounding(self):
         # Equal exact means with different survivor counts must tie
-        # (and break by hostname), which Fraction guarantees.
+        # (and break by hostname), which exact comparison guarantees.
         survivors = {"b": [1, 2], "a": [3, 0], "c": [9]}
         assert _elect_medoid(["b", "a", "c"], survivors) == "a"
 

@@ -1,13 +1,18 @@
 """Tests for JSON report serialization."""
 
+import enum
 import json
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     compare_fleet,
     config_diff,
     fleet_report_to_dict,
+    json_text,
     report_to_dict,
     report_to_json,
     semantic_difference_to_dict,
@@ -165,3 +170,80 @@ class TestCliJson:
         data = json.loads(capsys.readouterr().out)
         assert data["equivalent"] is False
         assert len(data["semantic"]) == 2
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 1e-7, 1e16, 1e300, 5e-324, 0.1])
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x2F))
+    | st.sampled_from(["", "é", "\u2028", "\ud83d\ude00", "\x00\x1f\x7f", '"\\/'])
+)
+_keys = (
+    st.text()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.booleans()
+    | st.none()
+)
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_keys, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestJsonText:
+    """``json_text`` is ``json.dumps(value, indent=2)``, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_documents)
+    def test_matches_stdlib(self, document):
+        assert json_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": ((), [{}])},
+            [[[[]]]],
+            {"n": -(10**40), "f": [-0.0, 1e-7, 1e16, float("nan")]},
+            OrderedDict([("z", 1), ("a", _Level.LOW)]),
+            {True: 1, False: 2, None: 3, 1.5: 4, 7: 5},
+        ],
+    )
+    def test_edge_cases(self, document):
+        assert json_text(document) == json.dumps(document, indent=2)
+
+    def test_deep_nesting(self):
+        document: object = "leaf"
+        for depth in range(200):
+            document = [document] if depth % 2 else {"k": document}
+        assert json_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize(
+        "document",
+        [object(), {"a": {1, 2}}, [b"bytes"], {"a": [1, 2j]}, {(1, 2): "tuple key"}],
+    )
+    def test_non_json_values_raise_type_error(self, document):
+        with pytest.raises(TypeError):
+            json.dumps(document, indent=2)
+        with pytest.raises(TypeError):
+            json_text(document)
+
+    def test_fleet_report(self):
+        devices, _ = gateway_fleet(count=4, outliers=1, rule_count=6, seed=2)
+        document = fleet_report_to_dict(compare_fleet(devices))
+        assert json_text(document) == json.dumps(document, indent=2)

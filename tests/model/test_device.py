@@ -1,5 +1,7 @@
 """Tests for the device container and the remaining component models."""
 
+import dataclasses
+
 from repro.model import (
     BgpNeighbor,
     BgpProcess,
@@ -15,6 +17,8 @@ from repro.model import (
     StaticRoute,
     ip_to_int,
 )
+from repro.workloads.datacenter import parameterized_clos_fleet
+from repro.workloads.figure1 import figure1_devices
 
 
 class TestInterface:
@@ -125,3 +129,44 @@ class TestDeviceConfig:
         span = device.span_for(2, 5)
         assert span.text == ("b", "c")
         assert device.line_count() == 3
+
+
+def _reflective_walk(value):
+    """Reference span walk: reflects on every node, no per-class cache."""
+    if isinstance(value, SourceSpan):
+        if not value.is_empty():
+            yield value
+        return
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            yield from _reflective_walk(getattr(value, field.name))
+        return
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _reflective_walk(item)
+        return
+    if isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _reflective_walk(item)
+
+
+class TestComponentSpans:
+    def test_matches_reflective_walk_in_order(self):
+        clos, _ = parameterized_clos_fleet(count=3, roles=2, rule_count=6)
+        for device in (*figure1_devices(), *clos):
+            spans = device.component_spans
+            assert set(spans) == {("acl", name) for name in device.acls} | {
+                ("route-map", name) for name in device.route_maps
+            }
+            for kind, policies in (
+                ("acl", device.acls),
+                ("route-map", device.route_maps),
+            ):
+                for name, policy in policies.items():
+                    expected = tuple(_reflective_walk(policy))
+                    assert expected
+                    assert spans[(kind, name)] == expected
+
+    def test_computed_once(self):
+        device = figure1_devices()[0]
+        assert device.component_spans is device.component_spans

@@ -1,6 +1,7 @@
 """Tests for the persistent content-addressed artifact cache."""
 
 import json
+import random
 
 import pytest
 
@@ -13,8 +14,12 @@ from repro.cache import (
     resolve_cache_dir,
 )
 from repro.core import acl_key
+from repro.model import device as device_module
+from repro.model import fingerprint as fingerprint_module
 from repro.parsers import parse_cisco
+from repro.workloads.datacenter import parameterized_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1
+from repro.workloads.mutation import flip_acl_action
 
 
 @pytest.fixture
@@ -55,6 +60,23 @@ class TestDeviceStore:
         assert "_fingerprints" in cached.__dict__
         assert cached.fingerprints == device.fingerprints
 
+    def test_derived_artifacts_ride_along(self, cache):
+        text, device = _device()
+        cache.put_device(text, "r1.cfg", "auto", False, device)
+        cached = cache.get_device(text, "r1.cfg", "auto", False)
+        for name in ("_fingerprints", "_template", "_component_spans"):
+            assert name in cached.__dict__
+        assert cached.template == device.template
+        assert cached.component_spans == device.component_spans
+
+    def test_entry_under_previous_schema_is_a_miss(self, cache, monkeypatch):
+        text, device = _device()
+        current = cache_module.CACHE_SCHEMA_VERSION
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", current - 1)
+        cache.put_device(text, "r1.cfg", "auto", False, device)
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", current)
+        assert cache.get_device(text, "r1.cfg", "auto", False) is None
+
     def test_key_covers_text_and_options(self, cache):
         text, device = _device()
         cache.put_device(text, "r1.cfg", "auto", False, device)
@@ -84,6 +106,19 @@ class TestDiffStore:
         assert cache.get_diff(self.KEY) is None
         cache.put_diff(self.KEY, self.ENTRY)
         assert cache.get_diff(self.KEY) == self.ENTRY
+
+    def test_roundtrip_keeps_key_order(self, cache):
+        entry = {"count": 1, "semantic": [{"example": {"z": 1, "a": 2}}]}
+        cache.put_diff(self.KEY, entry)
+        example = cache.get_diff(self.KEY)["semantic"][0]["example"]
+        assert list(example) == ["z", "a"]
+
+    def test_entry_under_previous_schema_is_a_miss(self, cache, monkeypatch):
+        current = cache_module.CACHE_SCHEMA_VERSION
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", current - 1)
+        cache.put_diff(self.KEY, self.ENTRY)
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", current)
+        assert cache.get_diff(self.KEY) is None
 
     def test_entries_are_json_with_schema_stamps(self, cache):
         cache.put_diff(self.KEY, self.ENTRY)
@@ -181,6 +216,72 @@ class TestCliCache:
         assert "misses=0" in warm_line
         hits = int(warm_line.split("hits=")[1].split()[0])
         assert hits > 0
+
+    @pytest.fixture
+    def edited_clos_files(self, tmp_path):
+        """A non-conforming Clos fleet: one device has a flipped ACL
+        action, so warm runs replay localized differences."""
+        devices, _ = parameterized_clos_fleet(
+            count=6, roles=2, rule_count=8, seed=3
+        )
+        directory = tmp_path / "clos"
+        directory.mkdir()
+        paths = []
+        for index, device in enumerate(devices):
+            text = "\n".join(device.raw_lines) + "\n"
+            if index == 2:
+                text = flip_acl_action(text, random.Random(5)).text
+            path = directory / device.filename
+            path.write_text(text)
+            paths.append(str(path))
+        return paths
+
+    def test_warm_replay_is_byte_identical_to_cold(
+        self, edited_clos_files, tmp_path, capsys
+    ):
+        argv = ["--cache-dir", str(tmp_path / "cache"), "fleet", "--json"]
+        cold_code, cold_out, _ = self._run(argv + edited_clos_files, capsys)
+        warm_code, warm_out, warm_err = self._run(
+            argv + edited_clos_files, capsys
+        )
+        assert cold_code == warm_code == 1
+        assert "localization_replays=0" not in warm_err
+        assert json.loads(cold_out)["outliers"]
+        assert cold_out == warm_out
+
+    def test_warm_run_rederives_only_missed_devices(
+        self, edited_clos_files, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["--cache-dir", str(tmp_path / "cache"), "fleet", "--json"]
+        self._run(argv + edited_clos_files, capsys)
+        edited = edited_clos_files[0]
+        with open(edited) as handle:
+            text = handle.read()
+        with open(edited, "w") as handle:
+            handle.write(flip_acl_action(text, random.Random(9)).text)
+        templates = []
+        walks = []
+        compute_template = fingerprint_module.compute_template
+        reachable_spans = device_module.reachable_spans
+
+        def counted_template(device):
+            templates.append(device.hostname)
+            return compute_template(device)
+
+        def counted_walk(value):
+            walks.append(value)
+            return reachable_spans(value)
+
+        monkeypatch.setattr(
+            fingerprint_module, "compute_template", counted_template
+        )
+        monkeypatch.setattr(device_module, "reachable_spans", counted_walk)
+        _, _, err = self._run(argv + edited_clos_files, capsys)
+        assert "cache: hits=" in err
+        # Only the edited device missed the cache; it alone is derived.
+        original = parse_cisco(text, edited)
+        assert templates == [original.hostname]
+        assert len(walks) == len(original.acls) + len(original.route_maps)
 
     def test_no_cache_flag_disables_everything(
         self, fleet_files, tmp_path, capsys

@@ -1,5 +1,11 @@
 """Tests for the campion CLI."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -208,3 +214,22 @@ class TestTranslate:
         output = capsys.readouterr().out
         assert "policy-statement POL" in output
         assert code in (0, 1)  # send-community may be inexpressible
+
+
+class TestImportBoundary:
+    def test_serial_path_imports_no_pool_stack(self):
+        # The default workers=1 path never spawns processes, so startup
+        # must not pay for importing the pool machinery.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import json, sys, repro.cli; "
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        loaded = set(json.loads(result.stdout))
+        for module in ("multiprocessing", "concurrent.futures", "subprocess"):
+            assert module not in loaded
