@@ -1,12 +1,13 @@
 """Fleet symmetry compression — BENCH_symmetry.json.
 
-The matrix phase of ``compare_fleet`` with and without fingerprint
-symmetry compression on a templated Clos fleet: a few role templates
-stamped onto many hostnames, so the device-fingerprint partition has
-one equivalence class per (role, vendor) regardless of fleet size.
+The matrix phase of ``compare_fleet`` with and without symmetry
+compression on a templated Clos fleet: a few role templates stamped
+onto many hostnames, so the device-fingerprint partition has one
+equivalence class per (role, vendor) regardless of fleet size.
 Uncompressed, the matrix phase runs all N(N-1)/2 pairs (each paying at
 least MatchPolicies + memo lookups even when the diff memo replays the
 BDD work); compressed, it runs only the K(K-1)/2 representative pairs
+(the template step finds no further replay between K distinct roles)
 and expands the rest — the wall-clock gap is the point of the phase.
 
 Two regimes, four runs, all serial and cold:

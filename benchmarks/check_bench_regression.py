@@ -38,7 +38,7 @@ TRACKED = {
     "BENCH_fleet_atoms.json": ("speedup_vs_atoms",),
     "BENCH_service.json": ("warm_push.speedup",),
     "BENCH_symmetry.json": ("matrix_speedup",),
-    "BENCH_near_symmetry.json": ("matrix_speedup",),
+    "BENCH_near_symmetry.json": ("matrix_speedup_vs_off",),
     "BENCH_localize.json": ("collect_speedup",),
 }
 

@@ -9,12 +9,11 @@ from .atoms import (
 )
 from .engine import AnalysisBudgetExceeded, Bdd, BddManager
 from .sat import blocking_clause, complete_model, cube_count, extract_field_values
-from .store import BDD_STORE_ENV, DictNodeStore, FlatNodeStore, resolve_store
+from .store import DictNodeStore, FlatNodeStore, resolve_store
 from .vector import BitVector
 
 __all__ = [
     "ATOM_BUDGET_ENV",
-    "BDD_STORE_ENV",
     "AnalysisBudgetExceeded",
     "AtomBudgetExceeded",
     "AtomRefinement",

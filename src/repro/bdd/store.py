@@ -32,18 +32,15 @@ means *every* kernel allocation site honours the budget (the historical
 inline fast paths checked it only in ``BddManager._mk``).
 
 Store selection: the ``store`` argument of :class:`~.engine.BddManager`
-(``"flat"``/``"dict"`` or an instance), else the ``CAMPION_BDD_STORE``
-environment variable, else ``"flat"``.
+(``"flat"``/``"dict"`` or an instance), else ``"flat"``.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Callable, Dict, Optional, Tuple, Union
 
 __all__ = [
-    "BDD_STORE_ENV",
     "DEFAULT_STORE",
     "STORE_NAMES",
     "DictNodeStore",
@@ -51,7 +48,6 @@ __all__ = [
     "resolve_store",
 ]
 
-BDD_STORE_ENV = "CAMPION_BDD_STORE"
 DEFAULT_STORE = "flat"
 STORE_NAMES = ("flat", "dict")
 
@@ -157,7 +153,7 @@ class FlatNodeStore:
 class DictNodeStore:
     """The historical layout: Python lists plus a tuple-keyed dict.
 
-    Kept as a selectable fallback (``CAMPION_BDD_STORE=dict``) and as
+    Kept as a selectable fallback (``BddManager(store="dict")``) and as
     the reference implementation the flat store's tests compare
     against.
     """
@@ -208,12 +204,10 @@ def resolve_store(spec: Union[None, str, NodeStore] = None) -> NodeStore:
 
     ``spec`` may be a store instance (returned as-is — it must be
     empty/fresh, since the manager seeds terminals through it), a name
-    from ``STORE_NAMES``, or ``None`` — which consults the
-    ``CAMPION_BDD_STORE`` environment variable and defaults to
-    ``"flat"``.
+    from ``STORE_NAMES``, or ``None`` for ``DEFAULT_STORE``.
     """
     if spec is None:
-        spec = os.environ.get(BDD_STORE_ENV, "").strip() or DEFAULT_STORE
+        spec = DEFAULT_STORE
     if isinstance(spec, str):
         cls = _STORE_CLASSES.get(spec)
         if cls is None:

@@ -289,7 +289,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             node_limit=args.node_limit,
             memo=DiffMemo(cache) if cache is not None else None,
             set_backend=args.set_backend,
-            compress="off" if args.no_compress else args.compress,
+            compress=not args.no_compress,
         )
     except ValueError as exc:
         # duplicate hostnames, too-few devices, unknown reference
@@ -482,20 +482,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="machine-readable, timing-free output (byte-identical across runs)",
     )
     fleet_parser.add_argument(
-        "--compress",
-        choices=["off", "exact", "near"],
-        default=None,
-        help="matrix symmetry compression mode: 'exact' collapses "
-        "byte-identical devices, 'near' also collapses devices equal "
-        "modulo rewritable literals (loopbacks, router-ids, BGP peers) "
-        "(default: $CAMPION_FLEET_COMPRESS or near; the report is "
-        "identical in every mode, compression only skips redundant pairs)",
-    )
-    fleet_parser.add_argument(
         "--no-compress",
         action="store_true",
         default=False,
-        help="shorthand for --compress off",
+        help="analyze every matrix pair instead of one pair per class of "
+        "devices equal modulo rewritable literals (loopbacks, router-ids, "
+        "BGP peers); the report is identical either way",
     )
     add_budget_flags(fleet_parser)
     fleet_parser.set_defaults(func=_cmd_fleet)
@@ -522,8 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--generators",
         default=None,
         metavar="NAME[,NAME...]",
-        help="restrict to these case generators (e.g. 'symmetry' or "
-        "'near-symmetry' for the compression cross-checks only; "
+        help="restrict to these case generators (e.g. 'symmetry' for "
+        "the compression cross-check only; "
         "default: round-robin over all)",
     )
     selfcheck_parser.set_defaults(func=_cmd_selfcheck)

@@ -17,107 +17,47 @@ surviving pair, so devices with failed pairs are not advantaged by
 their missing entries), and devices whose reference report cannot be
 produced are listed in ``failed`` alongside ``outliers``/``conforming``.
 
-**Symmetry compression** (``compress`` / ``CAMPION_FLEET_COMPRESS``,
-three modes, default ``near``): real fleets are heavily templated, so
-before the matrix the devices are partitioned into equivalence
-classes.  ``exact`` partitions by *device fingerprint* (the aggregate
-of every component fingerprint — equality means ConfigDiff would find
-zero differences; see :mod:`repro.model.fingerprint`): only unordered
-pairs of class representatives are analyzed; intra-class pairs expand
-to count 0 and cross-class pairs copy their representative pair's
-count — the same soundness argument that lets the diff memo replay a
-fingerprint-keyed entry into any pair with those fingerprints.
-``near`` additionally partitions the exact representatives by
-*template fingerprint* (equal configurations modulo an allowlisted
-parameter substitution — per-device loopbacks, router-ids, BGP peers)
-and analyzes one pair per replay signature, replaying its count across
-the template class; see :mod:`repro.core.near_symmetry` for the
-soundness conditions and the fallback-to-concrete rules.  In every
-mode the reference reports still run per device (through the
+**Symmetry compression** (``compress``, on by default): real fleets
+are heavily templated, so before the matrix the devices are
+partitioned into equivalence classes — first by *device fingerprint*
+(byte-identical semantic content, so intra-class pairs are zero), then
+by *template fingerprint* (equal configurations modulo an allowlisted
+parameter substitution — per-device loopbacks, router-ids, BGP peers).
+One pair per replay signature is analyzed and its count replayed
+across the class; :mod:`repro.core.near_symmetry` owns the plan, the
+soundness conditions, and the fallback-to-concrete rules.  The
+reference reports still run per device (through the
 representative-warmed memo, so clones replay at memo speed): spans,
 hostnames, and parse diagnostics are device-specific and deliberately
 excluded from fingerprints, and running them live is what keeps the
 report — and its serialized form — byte-identical to the uncompressed
-run.  The oracle's ``symmetry`` and ``near-symmetry`` selfcheck
-generators cross-validate exactly that identity.
+run.  The oracle's ``symmetry`` selfcheck generator cross-validates
+exactly that identity.
 
 For a fleet of n devices the uncompressed matrix costs n(n-1)/2
-comparisons (k(k-1)/2 for k fingerprint classes under ``exact``, down
-to s analyzed pairs for s distinct replay signatures under ``near``);
-pass ``reference=<hostname>`` to skip the election and compare
-everything against a known-good device in n-1 comparisons.
+comparisons, compressed down to s analyzed pairs for s distinct replay
+signatures; pass ``reference=<hostname>`` to skip the election and
+compare everything against a known-good device in n-1 comparisons.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
 from ..model.device import DeviceConfig
-from ..model.fingerprint import partition_by_device_fingerprint
 from .config_diff import config_diff
 from .coverage import DeviceCoverage, compute_fleet_coverage
 from .fleet_atoms import FleetAtomizer
 from .memo import DiffMemo
 from .near_symmetry import FALLBACK_COUNTER, plan_near_pairs
-from .parallel import (
-    pairwise_count_outcomes,
-    plan_representative_pairs,
-    resolve_timeout,
-    resolve_workers,
-)
+from .parallel import pairwise_count_outcomes, resolve_timeout, resolve_workers
 from .results import CampionReport
 from .setalg import default_backend_name
 
-__all__ = [
-    "COMPRESS_ENV",
-    "COMPRESS_MODES",
-    "FleetReport",
-    "SymmetryStats",
-    "compare_fleet",
-    "resolve_compress",
-]
-
-COMPRESS_ENV = "CAMPION_FLEET_COMPRESS"
-
-#: The three matrix-compression modes, in increasing aggressiveness.
-COMPRESS_MODES = ("off", "exact", "near")
-
-
-def resolve_compress(compress: Optional[object] = None) -> str:
-    """Resolve the symmetry-compression mode: ``off``/``exact``/``near``.
-
-    Argument wins, else ``CAMPION_FLEET_COMPRESS``, else ``near`` —
-    compression never changes the report, only how much of the matrix
-    is computed versus expanded/replayed.  Booleans keep their PR 8
-    meaning (``True`` = ``exact``, ``False`` = ``off``); in the
-    environment, ``0``/``false``/``no``/``off`` disable, ``exact``
-    selects exact-only, and anything else (including the historical
-    ``1``/``true``/``yes``/``on``) selects ``near``.
-    """
-    if compress is not None:
-        if compress is True:
-            return "exact"
-        if compress is False:
-            return "off"
-        mode = str(compress).strip().lower()
-        if mode not in COMPRESS_MODES:
-            raise ValueError(
-                f"compress must be one of {', '.join(COMPRESS_MODES)};"
-                f" got {compress!r}"
-            )
-        return mode
-    raw = os.environ.get(COMPRESS_ENV, "").strip().lower()
-    if not raw:
-        return "near"
-    if raw in ("0", "false", "no", "off"):
-        return "off"
-    if raw == "exact":
-        return "exact"
-    return "near"
+__all__ = ["FleetReport", "SymmetryStats", "compare_fleet"]
 
 
 def _elect_medoid(
@@ -155,16 +95,15 @@ class SymmetryStats:
     """
 
     devices: int
+    #: template classes the plan partitioned the fleet into
     classes: int
     #: all unordered pairs the uncompressed matrix would compare
     total_pairs: int
-    #: pairs actually analyzed (representatives, plus — in near mode —
-    #: any pairs that fell back to concrete analysis)
+    #: pairs actually analyzed (representatives, plus any pairs that
+    #: fell back to concrete analysis)
     analyzed_pairs: int
-    #: which compression partitioned the matrix: "exact" or "near"
-    mode: str = "exact"
-    #: near mode only: pairs analyzed concretely because their
-    #: representative pair failed or their class failed verification
+    #: pairs analyzed concretely because the representative pair they
+    #: would have replayed failed
     fallback_pairs: int = 0
 
     @property
@@ -174,21 +113,14 @@ class SymmetryStats:
 
     def render(self) -> str:
         """One summary line for CLI/stderr output."""
-        if self.mode == "near":
-            line = (
-                f"near-symmetry: {self.devices} device(s) in "
-                f"{self.classes} template class(es); analyzed "
-                f"{self.analyzed_pairs} of {self.total_pairs} matrix "
-                f"pair(s)"
-            )
-            if self.fallback_pairs:
-                line += f"; {self.fallback_pairs} fallback pair(s)"
-            return line
-        return (
-            f"symmetry: {self.devices} device(s) in {self.classes} "
-            f"fingerprint class(es); analyzed {self.analyzed_pairs} of "
-            f"{self.total_pairs} matrix pair(s)"
+        line = (
+            f"near-symmetry: {self.devices} device(s) in "
+            f"{self.classes} template class(es); analyzed "
+            f"{self.analyzed_pairs} of {self.total_pairs} matrix pair(s)"
         )
+        if self.fallback_pairs:
+            line += f"; {self.fallback_pairs} fallback pair(s)"
+        return line
 
 
 @dataclass
@@ -322,7 +254,7 @@ def compare_fleet(
     memo: Optional[DiffMemo] = None,
     use_memo: bool = True,
     set_backend: Optional[str] = None,
-    compress: Optional[object] = None,
+    compress: bool = True,
 ) -> FleetReport:
     """Compare a fleet of configurations intended to be identical.
 
@@ -333,27 +265,22 @@ def compare_fleet(
     toward the lexicographically-smallest hostname for determinism.
     Devices with no surviving pair at all cannot stand for election.
 
-    ``compress`` selects the matrix-phase symmetry compression mode —
-    ``"off"``, ``"exact"``, or ``"near"`` (``None`` consults
-    ``CAMPION_FLEET_COMPRESS``, defaulting to ``near``; booleans keep
-    their historical exact/off meaning).  ``exact`` partitions the
-    devices into device-fingerprint equivalence classes and analyzes
-    only class-representative pairs; every other pair's count is
-    expanded from its representatives (0 within a class).  ``near``
-    further groups the representatives by *template fingerprint*
-    (:mod:`repro.core.near_symmetry`) and analyzes one pair per replay
-    signature.  Reports, election, and serialized output are identical
-    in every mode — on templated fleets the matrix phase just shrinks
-    from O(n²) toward O(k²) for k distinct templates.  Failure
-    expansion differs by mode: under ``exact`` a failed representative
-    pair marks every pair it stands for as failed with the same cause
-    (matching the uncompressed outcome for content-deterministic
-    failures — the only reproducible kind); under ``near`` the failure
-    stays on content-identical pairs only, and merely near-symmetric
-    pairs *fall back to concrete analysis* (counted under
-    ``near_symmetry.fallbacks`` and noted on ``FleetReport.notes``),
-    since a fault observed on one substitution instance says nothing
-    about the others.
+    ``compress`` (a bool, default ``True``) switches matrix-phase
+    symmetry compression: the plan of
+    :func:`repro.core.near_symmetry.plan_near_pairs` analyzes one pair
+    per replay signature and expands every other pair's count from it
+    (0 within a device-fingerprint class).  Reports, election, and
+    serialized output are identical either way — on templated fleets
+    the matrix phase just shrinks from O(n²) toward O(k²) for k
+    distinct templates.  A failed representative pair marks its
+    content-identical pairs failed with the same cause (matching the
+    uncompressed outcome for content-deterministic failures — the only
+    reproducible kind), while merely near-symmetric pairs *fall back to
+    concrete analysis* (counted under ``near_symmetry.fallbacks`` and
+    noted on ``FleetReport.notes``), since a fault observed on one
+    substitution instance says nothing about the others.
+    ``compress=False`` is the uncompressed reference the oracle and the
+    end-to-end checker compare against.
 
     ``workers`` fans the matrix phase over that many processes
     (``None`` consults the ``CAMPION_WORKERS`` environment variable,
@@ -393,6 +320,9 @@ def compare_fleet(
     ACL/route-map lines participated in some localized difference
     versus policies the run found nothing to say about.
     """
+    if not isinstance(compress, bool):
+        # A truthy mode string such as "off" must not silently compress.
+        raise TypeError(f"compress must be a bool, got {compress!r}")
     if len(devices) < 2:
         raise ValueError("a fleet comparison needs at least two devices")
     by_name = {device.hostname: device for device in devices}
@@ -407,7 +337,6 @@ def compare_fleet(
     hostnames = sorted(by_name)
     workers = resolve_workers(workers)
     timeout = resolve_timeout(timeout)
-    compress = resolve_compress(compress)
     backend_name = (
         set_backend if set_backend is not None else default_backend_name()
     )
@@ -435,15 +364,9 @@ def compare_fleet(
     symmetry: Optional[SymmetryStats] = None
 
     if reference is None:
-        plan = None
-        if compress == "near":
+        if compress:
             plan, plan_notes = plan_near_pairs(devices)
             notes.extend(plan_notes)
-            pair_keys = list(plan.pair_keys)
-        elif compress == "exact":
-            plan = plan_representative_pairs(
-                partition_by_device_fingerprint(devices)
-            )
             pair_keys = list(plan.pair_keys)
         else:
             pair_keys = [
@@ -461,9 +384,8 @@ def compare_fleet(
                 memo=memo,
                 set_backend=set_backend,
             )
-        total_pairs = len(hostnames) * (len(hostnames) - 1) // 2
-        if plan is not None and plan.mode == "near":
-            matrix, failed_pairs, fallback = plan.expand_near(
+        if compress:
+            matrix, failed_pairs, fallback = plan.expand(
                 hostnames, dict(zip(pair_keys, outcomes))
             )
             if fallback:
@@ -493,24 +415,10 @@ def compare_fleet(
                         failed_pairs[key] = outcome.describe()
             symmetry = SymmetryStats(
                 devices=len(hostnames),
-                classes=plan.class_count,
-                total_pairs=total_pairs,
+                classes=len(plan.template_classes),
+                total_pairs=len(hostnames) * (len(hostnames) - 1) // 2,
                 analyzed_pairs=len(pair_keys) + len(fallback),
-                mode="near",
                 fallback_pairs=len(fallback),
-            )
-            perf.add(
-                "fleet.symmetry.pairs_expanded", symmetry.expanded_pairs
-            )
-        elif plan is not None:
-            matrix, failed_pairs = plan.expand(
-                hostnames, dict(zip(pair_keys, outcomes))
-            )
-            symmetry = SymmetryStats(
-                devices=len(hostnames),
-                classes=plan.class_count,
-                total_pairs=total_pairs,
-                analyzed_pairs=len(pair_keys),
             )
             perf.add(
                 "fleet.symmetry.pairs_expanded", symmetry.expanded_pairs

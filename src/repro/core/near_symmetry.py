@@ -1,14 +1,18 @@
-"""Near-symmetry fleet compression — equal modulo a parameter substitution.
+"""Fleet symmetry compression — equal modulo a parameter substitution.
 
-Exact symmetry compression (PR 8, ``repro.core.fleet``) collapses
-devices whose semantic content is byte-identical.  Real templated
-fleets are never that clean: every leaf differs in its loopback,
-interface addresses, router-id, and BGP neighbor statements, so
-``partition_by_device_fingerprint`` degenerates to N singleton classes
-and the matrix is back to O(N^2) full diffs.  This module compresses
-that case, following the Control Plane Compression insight (Beckett et
-al., SIGCOMM 2018): devices equal *modulo a parameter substitution*
-can share one analysis under explicit soundness conditions.
+This module owns the matrix-phase compression decision of
+:func:`repro.core.fleet.compare_fleet` (on by default; ``compress=False``
+is the uncompressed reference).  Planning runs in two steps.  First,
+devices whose semantic content is byte-identical collapse into
+*device-fingerprint* classes (:func:`plan_representative_pairs`):
+intra-class pairs are zero differences and members inherit their
+representative's outcomes verbatim.  Real templated fleets are rarely
+that clean — every leaf differs in its loopback, interface addresses,
+router-id, and BGP neighbor statements, so the fingerprint partition
+degenerates to N singleton classes.  The second step compresses that
+case, following the Control Plane Compression insight (Beckett et al.,
+SIGCOMM 2018): devices equal *modulo a parameter substitution* can
+share one analysis under explicit soundness conditions.
 
 The machinery rests on template fingerprints
 (:func:`repro.model.fingerprint.compute_template`): a device is
@@ -37,7 +41,7 @@ singletons (concrete analysis) with a ``near_symmetry.fallbacks`` perf
 count and a ``FleetReport.notes`` entry — mirroring the atom-budget
 fallback convention.  A representative pair that *fails* at runtime is
 never replayed: its near-symmetric member pairs fall back to concrete
-analysis (``SymmetryPlan.expand_near`` returns them for a second
+analysis (:meth:`SymmetryPlan.expand` returns them for a second
 fan-out) so one targeted fault cannot poison an entire class.
 
 :func:`raw_substitution` / :func:`replay_report_dict` are the
@@ -47,13 +51,14 @@ localized headers are exactly the representative pair's rewritten
 through the substitution.  ``compare_fleet`` itself never serves
 rewritten reports — the matrix is count-based and reference reports
 are always produced live — so serialized fleet reports stay
-byte-identical to uncompressed runs (the PR 8 contract).
+byte-identical to uncompressed runs.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
@@ -63,9 +68,11 @@ from ..model.fingerprint import (
     DeviceTemplate,
     partition_by_device_fingerprint,
 )
-from .parallel import SymmetryPlan, plan_representative_pairs
+from .parallel import PairOutcome
 
 __all__ = [
+    "SymmetryPlan",
+    "plan_representative_pairs",
     "pair_pattern",
     "pair_signature",
     "verify_template_class",
@@ -79,6 +86,111 @@ __all__ = [
 FALLBACK_COUNTER = "near_symmetry.fallbacks"
 
 _ALLOWED_KINDS = frozenset(_HOLE_FIELDS.values())
+
+
+@dataclass(frozen=True)
+class SymmetryPlan:
+    """Representative-pair plan for a symmetry-compressed fleet matrix.
+
+    Only ``pair_keys`` are analyzed; every full-fleet pair is recovered
+    by :meth:`expand` from their outcomes.
+    """
+
+    #: hostname -> its device-fingerprint class representative
+    #: (smallest hostname in the class)
+    representative: Dict[str, str]
+    #: representative -> all class members, sorted (representative first)
+    members: Dict[str, Tuple[str, ...]]
+    #: the unordered pairs to actually analyze, sorted
+    pair_keys: Tuple[Tuple[str, str], ...]
+    #: representative pair -> the analyzed pair whose outcome it
+    #: replays (identity entries omitted)
+    replay_key: Dict[Tuple[str, str], Tuple[str, str]] = field(
+        default_factory=dict
+    )
+    #: template fingerprint -> fingerprint-class representatives
+    #: sharing it (post-verification)
+    template_classes: Dict[str, Tuple[str, ...]] = field(
+        default_factory=dict
+    )
+
+    def pair_key(self, first: str, second: str) -> Tuple[str, str]:
+        """The representative pair standing in for ``(first, second)``."""
+        rep1 = self.representative[first]
+        rep2 = self.representative[second]
+        return (min(rep1, rep2), max(rep1, rep2))
+
+    def expand(
+        self,
+        hostnames: Sequence[str],
+        outcomes: Dict[Tuple[str, str], PairOutcome],
+    ) -> Tuple[
+        Dict[Tuple[str, str], int],
+        Dict[Tuple[str, str], str],
+        List[Tuple[str, str]],
+    ]:
+        """``(matrix, failed_pairs, fallback_pairs)`` from analyzed outcomes.
+
+        Same-class pairs expand to count 0 without consulting
+        ``outcomes`` at all; every other pair takes the count of the
+        analyzed pair it replays.  A failed analyzed pair fails only the
+        pairs content-identical to it (same class representatives), with
+        its cause verbatim — what the uncompressed run records for a
+        deterministic failure.  Its merely near-symmetric member pairs
+        are returned as ``fallback_pairs`` for concrete analysis instead,
+        so one targeted fault never poisons a whole template class.
+        """
+        matrix: Dict[Tuple[str, str], int] = {}
+        failed: Dict[Tuple[str, str], str] = {}
+        fallback: List[Tuple[str, str]] = []
+        ordered = sorted(hostnames)
+        for index, first in enumerate(ordered):
+            for second in ordered[index + 1 :]:
+                key = (first, second)
+                if self.representative[first] == self.representative[second]:
+                    matrix[key] = 0
+                    continue
+                rep_key = self.pair_key(first, second)
+                replay = self.replay_key.get(rep_key, rep_key)
+                outcome = outcomes[replay]
+                if outcome.ok:
+                    matrix[key] = outcome.result
+                elif rep_key == replay:
+                    failed[key] = outcome.describe()
+                else:
+                    fallback.append(key)
+        return matrix, failed, fallback
+
+
+def plan_representative_pairs(
+    classes: Dict[str, Sequence[str]]
+) -> SymmetryPlan:
+    """Build a :class:`SymmetryPlan` from fingerprint equivalence classes.
+
+    ``classes`` maps each device fingerprint to the hostnames sharing
+    it (:func:`repro.model.fingerprint.partition_by_device_fingerprint`).
+    The representative of each class is its lexicographically-smallest
+    hostname, so the plan — and therefore which pairs run — is fully
+    determined by the fleet's content, never by input order.  This is
+    the first step of :func:`plan_near_pairs`: every representative pair
+    is analyzed.
+    """
+    representative: Dict[str, str] = {}
+    members: Dict[str, Tuple[str, ...]] = {}
+    for hostnames in classes.values():
+        group = tuple(sorted(hostnames))
+        for hostname in group:
+            representative[hostname] = group[0]
+        members[group[0]] = group
+    reps = sorted(members)
+    pair_keys = tuple(
+        (first, second)
+        for index, first in enumerate(reps)
+        for second in reps[index + 1 :]
+    )
+    return SymmetryPlan(
+        representative=representative, members=members, pair_keys=pair_keys
+    )
 
 
 def pair_pattern(
@@ -187,16 +299,17 @@ def verify_template_class(devices: Sequence[DeviceConfig]) -> Optional[str]:
 def plan_near_pairs(
     devices: Sequence[DeviceConfig],
 ) -> Tuple[SymmetryPlan, List[str]]:
-    """Build the near-symmetry :class:`SymmetryPlan` for a fleet.
+    """Build the compressed :class:`SymmetryPlan` for a fleet.
 
-    Exact-fingerprint classes come first (their intra-class pairs are
-    zero and their members inherit outcomes verbatim, as in PR 8); the
-    exact-class representatives are then partitioned by template
-    fingerprint, each template class is verified, and one
-    representative pair per :func:`pair_signature` is selected for
-    analysis.  Returns the plan plus any fallback notes (dissolved
-    classes); on an all-identical or hole-free fleet this degenerates
-    to exactly the exact-symmetry plan with identity substitutions.
+    Device-fingerprint classes come first
+    (:func:`plan_representative_pairs`: intra-class pairs are zero and
+    members inherit outcomes verbatim); the class representatives are
+    then partitioned by template fingerprint, each template class is
+    verified, and one representative pair per :func:`pair_signature` is
+    selected for analysis.  Returns the plan plus any fallback notes
+    (dissolved classes); on an all-identical or hole-free fleet this
+    degenerates to the fingerprint-class plan with identity
+    substitutions.
     """
     by_host = {device.hostname: device for device in devices}
     base = plan_representative_pairs(partition_by_device_fingerprint(devices))
@@ -257,7 +370,6 @@ def plan_near_pairs(
         representative=base.representative,
         members=base.members,
         pair_keys=tuple(sorted(analyzed.values())),
-        mode="near",
         replay_key=replay_key,
         template_classes=template_classes,
     )

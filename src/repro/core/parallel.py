@@ -61,8 +61,6 @@ __all__ = [
     "WORKERS_ENV",
     "TIMEOUT_ENV",
     "PairOutcome",
-    "SymmetryPlan",
-    "plan_representative_pairs",
     "resolve_workers",
     "resolve_timeout",
     "pairwise_counts",
@@ -150,153 +148,6 @@ class PairOutcome:
             return "ok"
         suffix = " (after retry)" if self.retried else ""
         return f"{self.status}: {self.error}{suffix}"
-
-
-@dataclass(frozen=True)
-class SymmetryPlan:
-    """Representative-pair plan for a symmetry-compressed fleet matrix.
-
-    Built from the device-fingerprint equivalence classes
-    (:func:`repro.model.fingerprint.partition_by_device_fingerprint`):
-    only unordered pairs of class *representatives* are analyzed, and
-    every full-fleet pair is recovered by :meth:`expand` — intra-class
-    pairs are zero differences by the fingerprint soundness argument,
-    cross-class pairs copy their representative pair's outcome.
-    """
-
-    #: hostname -> its class representative (smallest hostname in class)
-    representative: Dict[str, str]
-    #: representative -> all class members, sorted (representative first)
-    members: Dict[str, Tuple[str, ...]]
-    #: the unordered representative pairs to actually analyze, sorted
-    pair_keys: Tuple[Tuple[str, str], ...]
-    #: ``"exact"`` (fingerprint classes only) or ``"near"`` (template
-    #: classes; built by ``repro.core.near_symmetry.plan_near_pairs``)
-    mode: str = "exact"
-    #: near mode only: exact-representative pair -> the analyzed pair
-    #: whose outcome it replays (identity entries omitted)
-    replay_key: Dict[Tuple[str, str], Tuple[str, str]] = field(
-        default_factory=dict
-    )
-    #: near mode only: template fingerprint -> exact-class
-    #: representatives sharing it (post-verification)
-    template_classes: Dict[str, Tuple[str, ...]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def class_count(self) -> int:
-        """Number of equivalence classes (== number of representatives)."""
-        if self.mode == "near":
-            return len(self.template_classes)
-        return len(self.members)
-
-    def pair_key(self, first: str, second: str) -> Tuple[str, str]:
-        """The representative pair standing in for ``(first, second)``."""
-        rep1 = self.representative[first]
-        rep2 = self.representative[second]
-        return (min(rep1, rep2), max(rep1, rep2))
-
-    def expand(
-        self,
-        hostnames: Sequence[str],
-        outcomes: Dict[Tuple[str, str], "PairOutcome"],
-    ) -> Tuple[Dict[Tuple[str, str], int], Dict[Tuple[str, str], str]]:
-        """The full ``(matrix, failed_pairs)`` from representative outcomes.
-
-        Same-class pairs expand to count 0 without consulting
-        ``outcomes`` at all; cross-class pairs take their representative
-        pair's count (or its failure cause, verbatim, so a failed
-        representative pair fails every pair it stands for — matching
-        what the uncompressed run would record for a deterministic
-        failure).
-        """
-        matrix: Dict[Tuple[str, str], int] = {}
-        failed: Dict[Tuple[str, str], str] = {}
-        ordered = sorted(hostnames)
-        for index, first in enumerate(ordered):
-            for second in ordered[index + 1 :]:
-                key = (first, second)
-                if self.representative[first] == self.representative[second]:
-                    matrix[key] = 0
-                    continue
-                outcome = outcomes[self.pair_key(first, second)]
-                if outcome.ok:
-                    matrix[key] = outcome.result
-                else:
-                    failed[key] = outcome.describe()
-        return matrix, failed
-
-    def expand_near(
-        self,
-        hostnames: Sequence[str],
-        outcomes: Dict[Tuple[str, str], "PairOutcome"],
-    ) -> Tuple[
-        Dict[Tuple[str, str], int],
-        Dict[Tuple[str, str], str],
-        List[Tuple[str, str]],
-    ]:
-        """``(matrix, failed_pairs, fallback_pairs)`` for a near plan.
-
-        Intra-exact-class pairs are zero and exact-class members copy
-        their representative pair, as in :meth:`expand`; a
-        representative pair that replays *another* signature
-        representative takes that pair's count.  Failure is where near
-        mode diverges from exact: a failed analyzed pair fails only the
-        pairs that are content-identical to it (same exact
-        representatives) — its merely near-symmetric member pairs are
-        returned as ``fallback_pairs`` for concrete analysis, so one
-        targeted fault never poisons a whole template class.
-        """
-        matrix: Dict[Tuple[str, str], int] = {}
-        failed: Dict[Tuple[str, str], str] = {}
-        fallback: List[Tuple[str, str]] = []
-        ordered = sorted(hostnames)
-        for index, first in enumerate(ordered):
-            for second in ordered[index + 1 :]:
-                key = (first, second)
-                if self.representative[first] == self.representative[second]:
-                    matrix[key] = 0
-                    continue
-                rep_key = self.pair_key(first, second)
-                replay = self.replay_key.get(rep_key, rep_key)
-                outcome = outcomes[replay]
-                if outcome.ok:
-                    matrix[key] = outcome.result
-                elif rep_key == replay:
-                    failed[key] = outcome.describe()
-                else:
-                    fallback.append(key)
-        return matrix, failed, fallback
-
-
-def plan_representative_pairs(
-    classes: Dict[str, Sequence[str]]
-) -> SymmetryPlan:
-    """Build a :class:`SymmetryPlan` from fingerprint equivalence classes.
-
-    ``classes`` maps each device fingerprint to the hostnames sharing
-    it (:func:`repro.model.fingerprint.partition_by_device_fingerprint`).
-    The representative of each class is its lexicographically-smallest
-    hostname, so the plan — and therefore which pairs run — is fully
-    determined by the fleet's content, never by input order.
-    """
-    representative: Dict[str, str] = {}
-    members: Dict[str, Tuple[str, ...]] = {}
-    for hostnames in classes.values():
-        group = tuple(sorted(hostnames))
-        for hostname in group:
-            representative[hostname] = group[0]
-        members[group[0]] = group
-    reps = sorted(members)
-    pair_keys = tuple(
-        (first, second)
-        for index, first in enumerate(reps)
-        for second in reps[index + 1 :]
-    )
-    return SymmetryPlan(
-        representative=representative, members=members, pair_keys=pair_keys
-    )
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -139,7 +139,7 @@ def partition_by_device_fingerprint(
     The device fingerprint aggregates every component fingerprint, so
     two devices landing in the same group would produce a zero-difference
     ConfigDiff report — the soundness premise of fleet symmetry
-    compression (``repro.core.fleet``).  Each group is sorted by
+    compression (``repro.core.near_symmetry``).  Each group is sorted by
     hostname, making ``group[0]`` the deterministic class
     representative (lexicographically-smallest hostname tie-break —
     same convention as medoid election).

@@ -18,6 +18,11 @@
   (:func:`repro.core.fleet.compare_fleet`), asserting the serialized
   fleet reports are identical; a divergence is shrunk by dropping
   devices,
+* symmetry-compression cross-checks — a gateway, templated-Clos, or
+  parameterized-Clos fleet compared with and without compression,
+  asserting identical serialized reports plus the substitution-replay
+  identity on full reports; a divergence is shrunk by dropping devices
+  and swapping in clones,
 * service round-trips — the same fleet's config *texts* pushed through
   a live in-thread analysis daemon
   (:class:`repro.service.ServiceThread`, the real HTTP/JSON path:
@@ -98,7 +103,6 @@ _GENERATORS = (
     "localize",
     "fleet",
     "symmetry",
-    "near-symmetry",
     "service",
 )
 
@@ -939,106 +943,7 @@ def _run_fleet_case(
     )
 
 
-def _symmetry_mismatch(devices) -> Optional[str]:
-    """One-line description of a compressed/uncompressed divergence.
-
-    Both runs are serial and memo-isolated; the only variable is the
-    symmetry-compression phase — fingerprint partition, representative-
-    pair planning, and count/failure expansion.  The serialized reports
-    (schema v4: matrix, reports, notes, partial flag, coverage) must be
-    identical, which is the compression soundness claim end to end.
-    """
-    from ..core.fleet import compare_fleet
-    from ..core.serialize import fleet_report_to_dict
-
-    reports = {}
-    for compress in (False, True):
-        reports[compress] = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, compress=compress)
-        )
-    if reports[True] == reports[False]:
-        return None
-    keys = sorted(
-        key
-        for key in set(reports[True]) | set(reports[False])
-        if reports[True].get(key) != reports[False].get(key)
-    )
-    return (
-        f"fleet report diverges between compressed and uncompressed runs "
-        f"(fields: {', '.join(keys)})"
-    )
-
-
-def _run_symmetry_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate symmetry compression against the uncompressed run.
-
-    Alternates between two fleet shapes: the gateway fleet (cross-
-    vendor clones of one rule list plus distinct outliers — a mix of
-    multi-member and singleton fingerprint classes) and the templated
-    Clos fleet (a few role templates stamped onto many hostnames — the
-    heavy-compression case).  A divergence is shrunk by dropping
-    devices while it persists, like the ``fleet`` generator.
-    """
-    from ..workloads.datacenter import gateway_fleet, templated_clos_fleet
-
-    rng = random.Random(case_seed)
-    if rng.random() < 0.5:
-        count = rng.randint(4, 7)
-        devices, _ = gateway_fleet(
-            count=count,
-            outliers=rng.randint(0, count - 1),
-            rule_count=rng.randint(8, 16),
-            seed=case_seed,
-        )
-    else:
-        count = rng.randint(4, 8)
-        devices, _ = templated_clos_fleet(
-            count=count,
-            roles=rng.randint(1, min(3, count)),
-            rule_count=rng.randint(6, 12),
-            seed=case_seed,
-        )
-    detail = _symmetry_mismatch(devices)
-    if detail is None:
-        from ..core.fleet import compare_fleet
-
-        report = compare_fleet(devices, workers=1)
-        result.differences += sum(report.matrix.values())
-        return None
-
-    def fails(fleet) -> bool:
-        try:
-            return _symmetry_mismatch(fleet) is not None
-        except Exception:  # noqa: BLE001 - a shrunk fleet may fail differently
-            return False
-
-    progress = True
-    while progress and len(devices) > 2:
-        progress = False
-        for index in range(len(devices)):
-            candidate = devices[:index] + devices[index + 1 :]
-            if fails(candidate):
-                devices = candidate
-                progress = True
-                break
-    reproducer_lines = [
-        f"fleet of {len(devices)}: "
-        + ", ".join(device.hostname for device in devices)
-    ]
-    for device in devices:
-        for acl in device.acls.values():
-            reproducer_lines.append(f"[{device.hostname}]")
-            reproducer_lines.extend(_render_acl(acl))
-    final_detail = _symmetry_mismatch(devices) or detail
-    return SelfCheckFailure(
-        "symmetry", case_seed, "compression-report-identity", final_detail,
-        "\n".join(reproducer_lines),
-    )
-
-
-_NEAR_IP_TOKEN = re.compile(r"(?<![\d.])(?:\d{1,3}\.){3}\d{1,3}(?![\d.])")
+_IP_TOKEN = re.compile(r"(?<![\d.])(?:\d{1,3}\.){3}\d{1,3}(?![\d.])")
 
 
 def _order_canonical(report: dict) -> dict:
@@ -1060,23 +965,24 @@ def _order_canonical(report: dict) -> dict:
     }
 
 
-def _near_symmetry_mismatch(devices) -> Optional[str]:
-    """One-line description of a near-symmetry soundness violation.
+def _symmetry_mismatch(devices):
+    """``(detail, compressed report)`` for a symmetry-compression check.
 
-    Two claims are cross-validated.  First, the three-mode report
-    identity: ``compress`` ``off``/``exact``/``near`` must serialize
-    byte-identically (the near plan replays counts through template
-    signatures, so any unsound replay shows up as a diverging matrix).
-    Second, the substitution-replay identity on full reports: when two
-    same-template device pairs admit raw substitutions *and induce the
-    same joint equality pattern over their hole atoms* (the theorem's
-    precondition — a clone pair and a distinct-literal pair are not
-    replay-equivalent even though each device maps individually), the
-    first pair's live report rewritten through the substitutions must
-    equal the second pair's live report *up to entry order*: the
-    serializer orders findings by their concrete literals, and a
-    non-monotone substitution permutes that order without changing any
-    finding.
+    ``detail`` is a one-line description of a soundness violation, or
+    ``None``.  Two claims are cross-validated, on serial memo-isolated
+    runs.  First, report identity: the compressed and uncompressed runs
+    must serialize identically (the plan replays counts through
+    fingerprint classes and template signatures, so any unsound replay
+    shows up as a diverging matrix).  Second, the substitution-replay
+    identity on full reports: when two same-template device pairs admit
+    raw substitutions *and induce the same joint equality pattern over
+    their hole atoms* (the theorem's precondition — a clone pair and a
+    distinct-literal pair are not replay-equivalent even though each
+    device maps individually), the first pair's live report rewritten
+    through the substitutions must equal the second pair's live report
+    *up to entry order*: the serializer orders findings by their
+    concrete literals, and a non-monotone substitution permutes that
+    order without changing any finding.
     """
     from ..core.fleet import compare_fleet
     from ..core.near_symmetry import (
@@ -1086,22 +992,18 @@ def _near_symmetry_mismatch(devices) -> Optional[str]:
     )
     from ..core.serialize import fleet_report_to_dict
 
-    reports = {}
-    for compress in ("off", "exact", "near"):
-        reports[compress] = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, compress=compress)
+    compressed = compare_fleet(devices, workers=1)
+    on = fleet_report_to_dict(compressed)
+    off = fleet_report_to_dict(compare_fleet(devices, workers=1, compress=False))
+    if on != off:
+        keys = sorted(
+            key for key in set(on) | set(off) if on.get(key) != off.get(key)
         )
-    for mode in ("exact", "near"):
-        if reports[mode] != reports["off"]:
-            keys = sorted(
-                key
-                for key in set(reports[mode]) | set(reports["off"])
-                if reports[mode].get(key) != reports["off"].get(key)
-            )
-            return (
-                f"fleet report diverges between {mode} compression and"
-                f" the uncompressed run (fields: {', '.join(keys)})"
-            )
+        return (
+            "fleet report diverges between compressed and uncompressed"
+            f" runs (fields: {', '.join(keys)})",
+            compressed,
+        )
 
     # Replay identity: (a, b) rewritten through per-device substitutions
     # must equal the live (c, d) report, for same-template a->c, b->d.
@@ -1151,30 +1053,55 @@ def _near_symmetry_mismatch(devices) -> Optional[str]:
                         "substitution-replayed report for"
                         f" ({first.hostname}, {second.hostname}) !="
                         " live report for"
-                        f" ({first_image.hostname}, {second_image.hostname})"
+                        f" ({first_image.hostname},"
+                        f" {second_image.hostname})",
+                        compressed,
                     )
-    return None
+    return None, compressed
 
 
-def _run_near_symmetry_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate near-symmetry compression on parameterized fleets.
+def _symmetry_fleet(rng: random.Random, case_seed: int) -> list:
+    """One of the three fleet shapes symmetry compression must survive.
 
-    The base fleet is the parameterized Clos (unique per-device
-    loopbacks/subnets/peers — exact compression finds nothing, so
-    every collapsed pair exercises the template-signature replay).
-    Cases then randomly stamp in a byte-identical clone (an exact class
-    inside a template class) and *alias substitutions* by rewriting one
-    device's IP literal onto another of its own literals — changing the
-    joint equality pattern, which the signature partition must refuse
-    to replay across.  A divergence is shrunk by dropping devices and
-    by perturbing substitutions toward byte-identical clones while the
-    mismatch persists.
+    * the gateway fleet: cross-vendor clones of one rule list plus
+      distinct outliers — a mix of multi-member and singleton
+      fingerprint classes;
+    * the templated Clos: a few role templates stamped onto many
+      hostnames — the heavy fingerprint-class case;
+    * the parameterized Clos: unique loopbacks/subnets/peers per
+      device, so fingerprint classes find nothing and every collapsed
+      pair exercises the template-signature replay.  Cases randomly
+      stamp in a byte-identical clone (a fingerprint class inside a
+      template class) and an *alias substitution* — one device's IP
+      literal rewritten onto another of its own, changing the joint
+      equality pattern, which the signature partition must refuse to
+      replay across.
     """
-    from ..workloads.datacenter import parameterized_clos_fleet
+    from ..workloads.datacenter import (
+        gateway_fleet,
+        parameterized_clos_fleet,
+        templated_clos_fleet,
+    )
 
-    rng = random.Random(case_seed)
+    shape = rng.randrange(3)
+    if shape == 0:
+        count = rng.randint(4, 7)
+        devices, _ = gateway_fleet(
+            count=count,
+            outliers=rng.randint(0, count - 1),
+            rule_count=rng.randint(8, 16),
+            seed=case_seed,
+        )
+        return devices
+    if shape == 1:
+        count = rng.randint(4, 8)
+        devices, _ = templated_clos_fleet(
+            count=count,
+            roles=rng.randint(1, min(3, count)),
+            rule_count=rng.randint(6, 12),
+            seed=case_seed,
+        )
+        return devices
     count = rng.randint(4, 9)
     devices, _ = parameterized_clos_fleet(
         count=count,
@@ -1195,18 +1122,29 @@ def _run_near_symmetry_case(
         mutated = _alias_one_literal(devices[index], rng)
         if mutated is not None:
             devices[index] = mutated
+    return devices
 
-    detail = _near_symmetry_mismatch(devices)
+
+def _run_symmetry_case(
+    case_seed: int, result: SelfCheckResult
+) -> Optional[SelfCheckFailure]:
+    """Cross-validate symmetry compression against the uncompressed run.
+
+    The fleet is one of the shapes of :func:`_symmetry_fleet`.  A
+    divergence is shrunk by dropping devices, then by perturbing
+    substitutions toward byte-identical clones, while the mismatch
+    persists.
+    """
+    rng = random.Random(case_seed)
+    devices = _symmetry_fleet(rng, case_seed)
+    detail, report = _symmetry_mismatch(devices)
     if detail is None:
-        from ..core.fleet import compare_fleet
-
-        report = compare_fleet(devices, workers=1, compress="near")
         result.differences += sum(report.matrix.values())
         return None
 
     def fails(fleet) -> bool:
         try:
-            return _near_symmetry_mismatch(fleet) is not None
+            return _symmetry_mismatch(fleet)[0] is not None
         except Exception:  # noqa: BLE001 - a shrunk fleet may fail differently
             return False
 
@@ -1223,10 +1161,10 @@ def _run_near_symmetry_case(
             continue
         # Substitution-perturbing shrink: replace one device with a
         # hostname-renamed clone of another (collapsing two distinct
-        # substitutions into an exact class) while the mismatch holds.
-        # Only accepted when it strictly reduces the number of distinct
-        # device contents (modulo hostname) — otherwise clone swaps
-        # could cycle forever without converging.
+        # substitutions into a fingerprint class) while the mismatch
+        # holds.  Only accepted when it strictly reduces the number of
+        # distinct device contents (modulo hostname) — otherwise clone
+        # swaps could cycle forever without converging.
         def distinct_contents(fleet) -> int:
             return len(
                 {
@@ -1273,11 +1211,11 @@ def _run_near_symmetry_case(
         )
         for acl in device.acls.values():
             reproducer_lines.extend(_render_acl(acl))
-    final_detail = _near_symmetry_mismatch(devices) or detail
+    final_detail = _symmetry_mismatch(devices)[0] or detail
     return SelfCheckFailure(
-        "near-symmetry",
+        "symmetry",
         case_seed,
-        "near-compression-report-identity",
+        "compression-report-identity",
         final_detail,
         "\n".join(reproducer_lines),
     )
@@ -1294,7 +1232,7 @@ def _alias_one_literal(device, rng) -> Optional["object"]:
     netmask position).
     """
     text = "\n".join(device.raw_lines)
-    literals = sorted(set(_NEAR_IP_TOKEN.findall(text)))
+    literals = sorted(set(_IP_TOKEN.findall(text)))
     if len(literals) < 2:
         return None
     source, target = rng.sample(literals, 2)
@@ -1476,7 +1414,6 @@ _CASE_RUNNERS = {
     "localize": _run_localize_case,
     "fleet": _run_fleet_case,
     "symmetry": _run_symmetry_case,
-    "near-symmetry": _run_near_symmetry_case,
     "service": _run_service_case,
 }
 

@@ -44,6 +44,10 @@ __all__ = ["CircuitBreaker", "Supervisor", "JobError"]
 
 _CRASH_MARKER = "worker-crashed"
 
+#: Compression mode names older payloads may carry, and the switch
+#: position each now means.
+_LEGACY_COMPRESS_MODES = {"off": False, "exact": True, "near": True}
+
 
 class JobError(Exception):
     """A job failed; ``permanent`` decides retry vs. failed."""
@@ -240,7 +244,7 @@ class Supervisor:
                 ),
                 memo=DiffMemo(cache) if cache is not None else None,
                 set_backend=payload.get("set_backend") or self.set_backend,
-                compress=self._compress_option(payload, "compress", None),
+                compress=self._compress_option(payload),
             )
         except JobError:
             raise
@@ -272,13 +276,12 @@ class Supervisor:
         if quarantined:
             perf.add("service.jobs.quarantined_pairs", len(quarantined))
         # Symmetry-compression counters: how much of the matrix phase
-        # the fingerprint equivalence classes let this job skip.  Kept
-        # out of the serialized report (like timings) and surfaced here
-        # instead, alongside the other supervision metadata.
+        # the equivalence classes let this job skip.  Kept out of the
+        # serialized report (like timings) and surfaced here instead,
+        # alongside the other supervision metadata.
         if report.symmetry is not None:
             symmetry = {
                 "compressed": True,
-                "mode": report.symmetry.mode,
                 "devices": report.symmetry.devices,
                 "classes": report.symmetry.classes,
                 "matrix_pairs": report.symmetry.total_pairs,
@@ -359,31 +362,20 @@ class Supervisor:
             raise JobError(f"option {key!r} is not an integer", permanent=True)
 
     @staticmethod
-    def _bool_option(payload: Dict, key: str, default):
-        value = payload.get(key)
+    def _compress_option(payload: Dict) -> bool:
+        # The one place the retired compression mode names are still
+        # accepted, so journaled and scripted payloads keep working:
+        # "off" disables, "exact" and "near" both mean compression on.
+        value = payload.get("compress")
         if value is None:
-            return default
+            return True
         if isinstance(value, bool):
             return value
-        raise JobError(f"option {key!r} is not a boolean", permanent=True)
-
-    @staticmethod
-    def _compress_option(payload: Dict, key: str, default):
-        # Booleans keep their historical meaning (True = exact,
-        # False = off); strings select a mode by name.
-        value = payload.get(key)
-        if value is None:
-            return default
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.strip().lower() in (
-            "off",
-            "exact",
-            "near",
-        ):
-            return value.strip().lower()
+        mode = value.strip().lower() if isinstance(value, str) else None
+        if mode in _LEGACY_COMPRESS_MODES:
+            return _LEGACY_COMPRESS_MODES[mode]
         raise JobError(
-            f"option {key!r} must be a boolean or one of"
+            "option 'compress' must be a boolean or one of"
             " 'off', 'exact', 'near'",
             permanent=True,
         )

@@ -660,12 +660,11 @@ def parameterized_clos_fleet(
     ``uplinks`` interfaces) — but every device additionally carries its
     own unique loopback, uplink subnets, router-ids, and BGP neighbor
     addresses, exactly as a real fabric assigns per-device parameters
-    to one role template.  The exact device-fingerprint partition
-    therefore degenerates to ``count`` singleton classes (PR 8
-    compression finds nothing), while the *template* partition has one
-    class per role and the near-symmetry plan analyzes one pair per
-    role pair — the showcase workload for
-    ``compare_fleet(compress="near")``.
+    to one role template.  The device-fingerprint partition therefore
+    degenerates to ``count`` singleton classes, while the *template*
+    partition has one class per role and the near-symmetry plan
+    analyzes one pair per role pair — the showcase workload for
+    compressed :func:`~repro.core.fleet.compare_fleet`.
 
     All devices are Cisco (template equality is per-vendor by
     construction: vendors render different stanza structure).  Returns

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bdd import AnalysisBudgetExceeded, BddManager
 from repro.bdd.store import (
-    BDD_STORE_ENV,
     DEFAULT_STORE,
     DictNodeStore,
     FlatNodeStore,
@@ -96,16 +95,10 @@ class TestBudgetHook:
 
 
 class TestResolution:
-    def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv(BDD_STORE_ENV, raising=False)
+    def test_default_is_flat(self):
         assert DEFAULT_STORE == "flat"
         assert isinstance(resolve_store(None), FlatNodeStore)
         assert BddManager().stats()["node_store"] == "flat"
-
-    def test_env_var_selects_store(self, monkeypatch):
-        monkeypatch.setenv(BDD_STORE_ENV, "dict")
-        assert isinstance(resolve_store(None), DictNodeStore)
-        assert BddManager().stats()["node_store"] == "dict"
 
     def test_names_and_instances(self):
         assert isinstance(resolve_store("flat"), FlatNodeStore)

@@ -1,15 +1,15 @@
 """Tests for near-symmetry fleet compression (template-signature replay).
 
-The tentpole invariant: ``compare_fleet(compress="near")`` produces a
-report — and a serialized form — byte-identical to the uncompressed and
-exact-compressed runs, on fleets where exact compression finds nothing
-(the parameterized Clos: unique loopbacks/subnets/peers per device).
-The supporting machinery (pair patterns, signature canonicalization,
-class verification with dissolution, the replay plan, raw substitutions
-and full-report replay, and the fallback-to-concrete path for failed
-representative pairs) is covered alongside.  The oracle's
-``near-symmetry`` selfcheck generator checks the same identities on
-randomized, shrunken fleets.
+The tentpole invariant: compressed ``compare_fleet`` produces a report
+— and a serialized form — byte-identical to the uncompressed run, on
+fleets where device-fingerprint classes find nothing (the
+parameterized Clos: unique loopbacks/subnets/peers per device).  The
+supporting machinery (pair patterns, signature canonicalization, class
+verification with dissolution, the replay plan, raw substitutions and
+full-report replay, and the fallback-to-concrete path for failed
+representative pairs) is covered alongside.  The oracle's ``symmetry``
+selfcheck generator checks the same identities on randomized, shrunken
+fleets.
 """
 
 import json
@@ -159,7 +159,6 @@ class TestPlanNearPairs:
         fleet = [_named(CISCO_FIGURE1, n) for n in ("a", "b", "c")]
         plan, notes = plan_near_pairs(fleet)
         assert notes == []
-        assert plan.mode == "near"
         assert plan.pair_keys == ()
         assert plan.replay_key == {}
         exact = partition_by_device_fingerprint(fleet)
@@ -183,7 +182,6 @@ class TestPlanNearPairs:
         # role, one cross-role) out of 28 matrix pairs.
         assert len(plan.template_classes) == 2
         assert len(plan.pair_keys) == 3
-        assert plan.class_count == 2
         # every non-analyzed representative pair replays an analyzed one
         replayed = set(plan.replay_key.values())
         assert replayed <= set(plan.pair_keys)
@@ -217,7 +215,7 @@ class TestPlanNearPairs:
         plan, _ = plan_near_pairs(devices)
         (analyzed,) = plan.pair_keys
         outcome = PairOutcome(index=0, status="ok", result=5)
-        matrix, failed, fallback = plan.expand_near(
+        matrix, failed, fallback = plan.expand(
             hostnames, {analyzed: outcome}
         )
         assert failed == {} and fallback == []
@@ -225,16 +223,15 @@ class TestPlanNearPairs:
         assert set(matrix.values()) == {5}
 
 
-class TestThreeModeByteIdentity:
+class TestTwoModeByteIdentity:
     def _identical(self, devices):
-        serialized = {
-            mode: fleet_report_to_dict(
-                compare_fleet(devices, workers=1, compress=mode)
+        compressed, uncompressed = (
+            fleet_report_to_dict(
+                compare_fleet(devices, workers=1, compress=compress)
             )
-            for mode in ("off", "exact", "near")
-        }
-        assert serialized["exact"] == serialized["off"]
-        assert serialized["near"] == serialized["off"]
+            for compress in (True, False)
+        )
+        assert compressed == uncompressed
 
     def test_parameterized_clos_fleet(self):
         devices, _ = parameterized_clos_fleet(
@@ -257,8 +254,7 @@ class TestThreeModeByteIdentity:
         devices, _ = parameterized_clos_fleet(
             count=8, roles=2, rule_count=6, seed=2
         )
-        stats = compare_fleet(devices, workers=1, compress="near").symmetry
-        assert stats.mode == "near"
+        stats = compare_fleet(devices, workers=1).symmetry
         assert stats.classes == 2
         assert stats.analyzed_pairs == 3
         assert stats.total_pairs == 28
@@ -268,7 +264,7 @@ class TestThreeModeByteIdentity:
         devices, _ = parameterized_clos_fleet(
             count=6, roles=2, rule_count=4, seed=0
         )
-        report = compare_fleet(devices, workers=1, compress="near")
+        report = compare_fleet(devices, workers=1)
         assert not any("near-symmetry" in note for note in report.notes)
 
 
@@ -377,7 +373,7 @@ class TestNearFallback:
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
         base = perf.REGISTRY.counters.get(FALLBACK_COUNTER, 0)
-        report = compare_fleet(devices, workers=1, compress="near")
+        report = compare_fleet(devices, workers=1)
         fallback_count = perf.REGISTRY.counters.get(FALLBACK_COUNTER, 0) - base
 
         expected_fallback = sum(
@@ -391,9 +387,7 @@ class TestNearFallback:
 
         # the fault stays on its own pair (possibly healed by the
         # reference phase if it involves the medoid) — never spreads
-        uncompressed = compare_fleet(
-            devices, workers=1, compress="off"
-        )
+        uncompressed = compare_fleet(devices, workers=1, compress=False)
         assert report.failed_pairs == uncompressed.failed_pairs
         assert set(report.failed_pairs) <= {target}
         for key, count in uncompressed.matrix.items():
@@ -413,14 +407,14 @@ class TestNearFallback:
             return real(task)
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
-        report = compare_fleet(devices, workers=1, compress="near")
+        report = compare_fleet(devices, workers=1)
         stats = report.symmetry
         assert stats.fallback_pairs == 5  # 6 pairs, 1 analyzed, 5 replayed
         assert stats.analyzed_pairs == 1 + 5
         # The target pair involves the medoid, so the reference phase
         # re-runs and heals it — the matrix ends up complete, exactly
         # like the uncompressed run under the same fault.
-        uncompressed = compare_fleet(devices, workers=1, compress="off")
+        uncompressed = compare_fleet(devices, workers=1, compress=False)
         assert report.failed_pairs == uncompressed.failed_pairs == {}
         assert report.matrix == uncompressed.matrix
 
@@ -429,21 +423,16 @@ class TestSupervisorCompressOption:
     def test_mode_strings_and_booleans_accepted(self):
         from repro.service.supervisor import Supervisor
 
-        assert Supervisor._compress_option({}, "compress", None) is None
-        assert (
-            Supervisor._compress_option({"compress": True}, "compress", None)
-            is True
-        )
-        assert (
-            Supervisor._compress_option(
-                {"compress": " NEAR "}, "compress", None
-            )
-            == "near"
-        )
+        assert Supervisor._compress_option({}) is True
+        assert Supervisor._compress_option({"compress": False}) is False
+        assert Supervisor._compress_option({"compress": " NEAR "}) is True
+        assert Supervisor._compress_option({"compress": "Exact"}) is True
+        assert Supervisor._compress_option({"compress": "off"}) is False
 
     def test_unknown_mode_is_a_permanent_job_error(self):
         from repro.service.supervisor import JobError, Supervisor
 
-        with pytest.raises(JobError) as excinfo:
-            Supervisor._compress_option({"compress": "sorta"}, "compress", None)
-        assert excinfo.value.permanent
+        for value in ("fast", 1, ["near"]):
+            with pytest.raises(JobError) as excinfo:
+                Supervisor._compress_option({"compress": value})
+            assert excinfo.value.permanent

@@ -4,19 +4,17 @@ The tentpole invariant under test: ``compare_fleet`` with compression
 enabled produces a report — and a serialized form — identical to the
 uncompressed run, on templated fleets, clone fleets, and fleets with no
 symmetry at all.  The supporting machinery (partition determinism,
-representative election, plan expansion, failure expansion, the
-``CAMPION_FLEET_COMPRESS`` switch, ``--no-compress``) is covered
-alongside.
+representative election, plan expansion, failure expansion,
+``--no-compress``) is covered alongside.
 """
 
 import json
 
-import pytest
-
 from repro.core import compare_fleet, fleet_report_to_dict
 from repro.core import parallel
-from repro.core.fleet import COMPRESS_ENV, resolve_compress
-from repro.core.parallel import PairOutcome, plan_representative_pairs
+from repro.core.fleet import SymmetryStats
+from repro.core.near_symmetry import plan_representative_pairs
+from repro.core.parallel import PairOutcome
 from repro.model.fingerprint import partition_by_device_fingerprint
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet, templated_clos_fleet
@@ -64,7 +62,6 @@ class TestPlan:
         plan = plan_representative_pairs(self.CLASSES)
         assert plan.representative == {"a": "a", "b": "a", "c": "c"}
         assert plan.members == {"a": ("a", "b"), "c": ("c",)}
-        assert plan.class_count == 2
 
     def test_pair_keys_are_sorted_representative_pairs(self):
         plan = plan_representative_pairs(
@@ -75,26 +72,32 @@ class TestPlan:
     def test_expand_intra_class_pairs_to_zero_without_outcomes(self):
         plan = plan_representative_pairs({"f": ("a", "b", "c")})
         # No representative pair exists, so no outcome is ever consulted.
-        matrix, failed = plan.expand(["a", "b", "c"], {})
+        matrix, failed, fallback = plan.expand(["a", "b", "c"], {})
         assert matrix == {("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0}
-        assert failed == {}
+        assert failed == {} and fallback == []
 
     def test_expand_copies_representative_count_across_class(self):
         plan = plan_representative_pairs(self.CLASSES)
         outcome = PairOutcome(index=0, status="ok", result=7)
-        matrix, failed = plan.expand(["a", "b", "c"], {("a", "c"): outcome})
+        matrix, failed, fallback = plan.expand(
+            ["a", "b", "c"], {("a", "c"): outcome}
+        )
         assert matrix == {("a", "b"): 0, ("a", "c"): 7, ("b", "c"): 7}
-        assert failed == {}
+        assert failed == {} and fallback == []
 
     def test_expand_copies_representative_failure_verbatim(self):
         plan = plan_representative_pairs(self.CLASSES)
         outcome = PairOutcome(index=0, status="error", error="boom")
-        matrix, failed = plan.expand(["a", "b", "c"], {("a", "c"): outcome})
+        matrix, failed, fallback = plan.expand(
+            ["a", "b", "c"], {("a", "c"): outcome}
+        )
         assert matrix == {("a", "b"): 0}
+        # content-identical pairs share the failure; nothing falls back
         assert failed == {
             ("a", "c"): outcome.describe(),
             ("b", "c"): outcome.describe(),
         }
+        assert fallback == []
 
 
 class TestCompressedEqualsUncompressed:
@@ -169,10 +172,10 @@ class TestFailureExpansion:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(parallel, "_count_pair", boom)
-        # Pinned to exact mode: near-symmetry deliberately does NOT fail
-        # the whole class (members fall back to concrete analysis; see
-        # tests/core/test_near_symmetry.py).
-        report = compare_fleet(devices, workers=1, compress="exact")
+        # Content-identical clones share the failure; merely
+        # near-symmetric pairs would fall back to concrete analysis
+        # instead (tests/core/test_near_symmetry.py).
+        report = compare_fleet(devices, workers=1)
         # The intra-class pair never ran _count_pair, so it survives ...
         assert report.matrix[(first, second)] == 0
         # ... which makes `first` the medoid; the reference phase then
@@ -186,74 +189,22 @@ class TestFailureExpansion:
         assert report.is_partial()
 
 
-class TestResolveCompress:
-    def test_default_is_near(self, monkeypatch):
-        monkeypatch.delenv(COMPRESS_ENV, raising=False)
-        assert resolve_compress() == "near"
-        assert resolve_compress(None) == "near"
-
-    @pytest.mark.parametrize(
-        "raw", ["0", "false", "no", "off", "False", " OFF ", "NO"]
-    )
-    def test_env_disables(self, monkeypatch, raw):
-        monkeypatch.setenv(COMPRESS_ENV, raw)
-        assert resolve_compress() == "off"
-
-    @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "anything"])
-    def test_env_enables_near(self, monkeypatch, raw):
-        # Historical truthy values select the strongest compression.
-        monkeypatch.setenv(COMPRESS_ENV, raw)
-        assert resolve_compress() == "near"
-
-    @pytest.mark.parametrize("raw", ["exact", "EXACT", " exact "])
-    def test_env_selects_exact(self, monkeypatch, raw):
-        monkeypatch.setenv(COMPRESS_ENV, raw)
-        assert resolve_compress() == "exact"
-
-    def test_booleans_keep_their_historical_meaning(self):
-        assert resolve_compress(True) == "exact"
-        assert resolve_compress(False) == "off"
-
-    @pytest.mark.parametrize("mode", ["off", "exact", "near"])
-    def test_mode_strings_pass_through(self, mode):
-        assert resolve_compress(mode) == mode
-        assert resolve_compress(mode.upper()) == mode
-
-    def test_unknown_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="compress must be one of"):
-            resolve_compress("sorta")
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(COMPRESS_ENV, "near")
-        assert resolve_compress(False) == "off"
-        monkeypatch.setenv(COMPRESS_ENV, "0")
-        assert resolve_compress(True) == "exact"
-        assert resolve_compress("near") == "near"
-
-    def test_compare_fleet_honors_environment(self, monkeypatch):
-        fleet = [_named(CISCO_FIGURE1, name) for name in ("a", "b")]
-        monkeypatch.setenv(COMPRESS_ENV, "0")
-        assert compare_fleet(fleet).symmetry is None
-        monkeypatch.setenv(COMPRESS_ENV, "exact")
-        assert compare_fleet(fleet).symmetry.mode == "exact"
-        monkeypatch.setenv(COMPRESS_ENV, "1")
-        assert compare_fleet(fleet).symmetry.mode == "near"
-
-
 class TestSymmetryStats:
     def test_render_mentions_classes_and_pairs(self):
-        fleet = [_named(CISCO_FIGURE1, name) for name in ("a", "b", "c")]
-        stats = compare_fleet(fleet, compress="exact").symmetry
-        rendered = stats.render()
-        assert "3 device(s)" in rendered
-        assert "1 fingerprint class(es)" in rendered
-        assert "analyzed 0 of 3" in rendered
+        stats = SymmetryStats(
+            devices=6, classes=2, total_pairs=15, analyzed_pairs=5,
+            fallback_pairs=2,
+        )
+        assert stats.expanded_pairs == 10
+        assert stats.render() == (
+            "near-symmetry: 6 device(s) in 2 template class(es);"
+            " analyzed 5 of 15 matrix pair(s); 2 fallback pair(s)"
+        )
 
     def test_near_render_mentions_template_classes(self):
         fleet = [_named(CISCO_FIGURE1, name) for name in ("a", "b", "c")]
-        stats = compare_fleet(fleet).symmetry  # default mode is near
+        stats = compare_fleet(fleet).symmetry
         rendered = stats.render()
-        assert stats.mode == "near"
         assert "3 device(s)" in rendered
         assert "1 template class(es)" in rendered
         assert "analyzed 0 of 3" in rendered

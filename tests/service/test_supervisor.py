@@ -1,11 +1,12 @@
 """Supervisor behavior: validation, classification, breaker, quarantine."""
 
+import json
 import os
 import signal
 
 import pytest
 
-from repro.core import parallel
+from repro.core import compare_fleet, parallel
 from repro.service.supervisor import CircuitBreaker, JobError, Supervisor
 
 from .conftest import fleet_configs
@@ -103,6 +104,34 @@ class TestRunJob:
         (quarantined_key,) = result["supervision"]["quarantined_pairs"]
         assert set(quarantined_key.split("<->")) == doomed
         assert result["supervision"]["worker_crashes"] > 0
+
+
+class TestCompressOption:
+    """Compression is one switch; payloads naming the retired modes
+    still map onto it, and nothing else is accepted."""
+
+    def test_mode_names_and_booleans_map_onto_the_switch(self, small_fleet):
+        configs, _, _ = small_fleet
+        supervisor = Supervisor(cache=None, workers=1)
+        cases = [
+            ("exact", True), ("near", True), (True, True),
+            ("off", False), (False, False),
+        ]
+        results = [
+            supervisor.run_job({"configs": configs, "compress": value}, None)
+            for value, _ in cases
+        ]
+        assert len({json.dumps(result["report"]) for result in results}) == 1
+        assert [result["symmetry"]["compressed"] for result in results] == [
+            expected for _, expected in cases
+        ]
+        assert "mode" not in results[0]["symmetry"]
+
+    def test_compare_fleet_rejects_mode_strings(self, small_fleet):
+        # "off" is truthy: accepting it would silently compress.
+        _, devices, _ = small_fleet
+        with pytest.raises(TypeError, match="compress must be a bool"):
+            compare_fleet(devices, compress="off")
 
 
 class TestCircuitBreaker:
