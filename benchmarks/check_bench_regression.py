@@ -8,9 +8,14 @@ measured in the same process — transfer across machines far better than
 wall times, which is what makes a committed baseline meaningful on a CI
 runner the baseline was never measured on.
 
-Run the benchmarks first (they write the fresh artifacts), then::
+Run the benchmarks first, at the smoke scale the baselines were taken
+at (the environment settings of the CI ``bench`` job), then::
 
     python benchmarks/check_bench_regression.py [--tolerance 0.30]
+
+The ``benchmarks/results/`` artifacts committed to the repository are
+full-scale runs, so on a clean checkout the guard refuses them with a
+``workload_scale mismatch`` that names the benchmark to rerun.
 
 ``--artifacts NAME[,NAME...]`` restricts the guard to a subset of the
 tracked artifacts, so a CI job that only produced some of them (the
@@ -40,6 +45,17 @@ TRACKED = {
     "BENCH_symmetry.json": ("matrix_speedup",),
     "BENCH_near_symmetry.json": ("matrix_speedup_vs_off",),
     "BENCH_localize.json": ("collect_speedup",),
+}
+
+#: The benchmark script that writes each tracked artifact.
+SCRIPTS = {
+    "BENCH_kernels.json": "bench_kernel_fastpaths.py",
+    "BENCH_atoms.json": "bench_atoms.py",
+    "BENCH_fleet_atoms.json": "bench_fleet_atoms.py",
+    "BENCH_service.json": "bench_service.py",
+    "BENCH_symmetry.json": "bench_symmetry.py",
+    "BENCH_near_symmetry.json": "bench_near_symmetry.py",
+    "BENCH_localize.json": "bench_localize.py",
 }
 
 _MISSING = object()
@@ -128,11 +144,13 @@ def main(argv=None) -> int:
             # A smoke run compared against a full baseline (or vice
             # versa) measures a different workload — comparing the
             # ratios anyway can mask a real regression behind the scale
-            # change, so refuse instead of guessing.
+            # change, so refuse instead of guessing.  The baseline is
+            # the reference, so the fresh side is the one to redo.
             failures.append(
-                f"{name}: workload_scale mismatch — baseline is "
-                f"{base_scale!r}, fresh is {fresh_scale!r}; regenerate the "
-                "baseline at the scale CI runs"
+                f"{name}: workload_scale mismatch — the fresh result "
+                f"{fresh_path} is {fresh_scale!r} scale but the committed "
+                f"baseline is {base_scale!r}; rerun benchmarks/"
+                f"{SCRIPTS[name]} at the {base_scale!r} scale, then the guard"
             )
             continue
         for key in keys:

@@ -26,12 +26,16 @@ two CLI invocations sharing a cache dir — can never observe a torn
 entry; writers and evictors additionally serialize on an ``fcntl``
 advisory lock (``<root>/.lock``) so concurrent eviction can't race an
 in-flight replace.  Each store is bounded by ``max_entries`` with
-mtime-LRU eviction.  Cache failures of any kind (unreadable file,
-corrupt pickle, full disk) degrade to a miss or a skipped write — the
-cache must never sink an analysis run — and an entry whose *bytes*
-fail to load is moved to ``<root>/quarantine/`` (counted under
-``cache.quarantined``, noted on stderr) for operator inspection rather
-than silently deleted; schema-stale entries are still just deleted.
+mtime-LRU eviction; an instance lists a store once, on its first write
+to it, and then counts its own writes, rescanning only when the count
+passes the bound and then trimming an eighth below it
+(:meth:`ArtifactCache._evict`).  Cache failures of any kind
+(unreadable file, corrupt pickle, full disk) degrade to a miss or a
+skipped write — the cache must never sink an analysis run — and an
+entry whose *bytes* fail to load is moved to ``<root>/quarantine/``
+(counted under ``cache.quarantined``, noted on stderr) for operator
+inspection rather than silently deleted; schema-stale entries are
+still just deleted.
 Hit/miss/eviction counters land in :mod:`repro.perf`; ``campion cache
 stats|clear`` exposes the store.  :meth:`ArtifactCache.namespace`
 derives a per-tenant cache rooted under ``<root>/tenants/<name>`` for
@@ -131,6 +135,9 @@ class ArtifactCache:
     ) -> None:
         self.root = pathlib.Path(root)
         self.max_entries = max_entries
+        # Per store: entries found by the last scan plus this instance's
+        # writes since (absent until the first write scans the store).
+        self._counts: Dict[str, int] = {}
 
     def namespace(self, tenant: str) -> "ArtifactCache":
         """A cache rooted under ``<root>/tenants/<tenant>``.
@@ -164,14 +171,20 @@ class ArtifactCache:
         text_sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return repr((text_sha, filename, dialect, bool(strict)))
 
+    def device_digest(
+        self, text: str, filename: str, dialect: str, strict: bool
+    ) -> str:
+        """The content address of one parsed device (schema included)."""
+        return self._digest(
+            _DEVICES, self.device_text_key(text, filename, dialect, strict)
+        )
+
     # -- devices -------------------------------------------------------------
     def get_device(
         self, text: str, filename: str, dialect: str, strict: bool
     ) -> Optional[DeviceConfig]:
         """The parsed device for this exact text, or ``None``."""
-        digest = self._digest(
-            _DEVICES, self.device_text_key(text, filename, dialect, strict)
-        )
+        digest = self.device_digest(text, filename, dialect, strict)
         path = self._path(_DEVICES, digest, ".pickle")
         payload = self._read_pickle(path)
         if payload is None:
@@ -207,9 +220,7 @@ class ArtifactCache:
         device.fingerprints
         device.template
         device.component_spans
-        digest = self._digest(
-            _DEVICES, self.device_text_key(text, filename, dialect, strict)
-        )
+        digest = self.device_digest(text, filename, dialect, strict)
         path = self._path(_DEVICES, digest, ".pickle")
         self._write_atomic(
             path, pickle.dumps({"schema": _schema_stamp(), "device": device})
@@ -299,6 +310,7 @@ class ArtifactCache:
     def clear(self) -> int:
         """Remove every cached artifact (quarantined ones included);
         returns the number removed."""
+        self._counts.clear()
         removed = 0
         for store in (_DEVICES, _DIFFS):
             for path in self._entries(store):
@@ -448,16 +460,33 @@ class ArtifactCache:
                 pass
 
     def _evict(self, store: str) -> None:
-        """mtime-LRU bound on the store size (writes are rare — one per
-        unique artifact — so the scan cost is negligible in practice)."""
+        """mtime-LRU bound on the store size, called after each write.
+
+        Listing a store costs a ``readdir`` per shard directory, so it
+        is not done per write: the first write of this instance scans
+        the store, later ones only count, and the store is rescanned
+        when the count passes ``max_entries``.  A rescan over the bound
+        trims the store, least recently modified first, to a low-water
+        mark an eighth below the bound, so a full store is listed once
+        per ``max_entries // 8`` writes rather than on every one.
+        Entries other processes add are seen at that rescan, so writers
+        sharing a root may together overshoot the bound by what they
+        wrote between two of each other's scans.
+        """
         try:
             with self._lock():
-                entries = list(self._entries(store))
-                excess = len(entries) - self.max_entries
-                if excess <= 0:
+                count = self._counts.get(store)
+                if count is not None and count < self.max_entries:
+                    self._counts[store] = count + 1
                     return
+                entries = list(self._entries(store))
+                if len(entries) <= self.max_entries:
+                    self._counts[store] = len(entries)
+                    return
+                keep = self.max_entries - self.max_entries // 8
+                self._counts[store] = keep
                 entries.sort(key=lambda p: (p.stat().st_mtime, p.name))
-                for path in entries[:excess]:
+                for path in entries[: len(entries) - keep]:
                     try:
                         path.unlink()
                         perf.add("cache.evictions")

@@ -38,7 +38,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
-from .. import perf
 from ..bdd import AnalysisBudgetExceeded
 from ..model.device import DeviceConfig
 from .match_policies import PolicyPairing, match_policies
@@ -266,7 +265,7 @@ def _walk_components(
             ):
                 rebuilt = replay_semantic_differences(entry, device1, device2)
                 report.semantic.extend(rebuilt)
-                perf.add("memo.localization_replays", len(rebuilt))
+                memo.count_replays(len(rebuilt))
                 continue
             # Otherwise collect mode recomputes live below (a hit whose
             # provenance differs came from a clone at other file
@@ -355,7 +354,7 @@ def _walk_components(
             ):
                 rebuilt = replay_semantic_differences(entry, device1, device2)
                 report.semantic.extend(rebuilt)
-                perf.add("memo.localization_replays", len(rebuilt))
+                memo.count_replays(len(rebuilt))
                 continue
         component = _component_label(pair.name1, pair.name2, "ACL")
         left = _remaining(component, ComponentKind.ACL)

@@ -33,7 +33,7 @@ boundaries: workers accumulate their new entries and return them inside
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .. import perf
 from ..model.fingerprint import ComponentFingerprints
@@ -172,6 +172,12 @@ class DiffMemo:
     drops it): workers read the entries snapshot they inherited and
     report new entries back via :meth:`take_updates`, which the parent
     folds in — and persists — with :meth:`merge`.
+
+    A memo may also outlive one analysis (the service keeps one per
+    tenant between jobs): :meth:`settle` ends each use, keeping only
+    the entries and vectors that use read or wrote and returning its
+    own hit/miss counts, so the table stays as large as one fleet's
+    working set and the counts never mix two uses.
     """
 
     def __init__(self, cache: Optional[object] = None) -> None:
@@ -183,12 +189,29 @@ class DiffMemo:
         # only: never persisted and never pickled to workers — only the
         # seeded count entries (plain dicts) cross process boundaries.
         self._vectors: Dict[str, Dict] = {}
+        self._reset_use()
+
+    def _reset_use(self) -> None:
+        self._touched: Set[MemoKey] = set()
+        self._touched_vectors: Set[str] = set()
+        # Per use: logical memo hits and misses, the hits served from
+        # the backing cache's disk store, and the differences rebuilt by
+        # localization replay.
+        self.counts: Dict[str, int] = {
+            "memo_hits": 0,
+            "memo_misses": 0,
+            "diff_hits": 0,
+            "localization_replays": 0,
+        }
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: MemoKey) -> bool:
-        return key in self._entries
+        if key in self._entries:
+            self._touched.add(key)
+            return True
+        return False
 
     def get(self, key: MemoKey) -> Optional[Dict]:
         """The entry for ``key``, consulting the backing cache on miss."""
@@ -197,15 +220,25 @@ class DiffMemo:
             entry = self._cache.get_diff(key)
             if entry is not None:
                 self._entries[key] = entry
+                self.counts["diff_hits"] += 1
         if entry is None:
             perf.add("memo.misses")
+            self.counts["memo_misses"] += 1
             return None
         perf.add("memo.hits")
+        self.counts["memo_hits"] += 1
+        self._touched.add(key)
         return entry
+
+    def count_replays(self, count: int) -> None:
+        """Record ``count`` differences rebuilt by localization replay."""
+        perf.add("memo.localization_replays", count)
+        self.counts["localization_replays"] += count
 
     def put(self, key: MemoKey, entry: Dict) -> None:
         """Record a clean result (first write wins; results for equal
         fingerprints are identical, so later writes are redundant)."""
+        self._touched.add(key)
         if key in self._entries:
             return
         self._entries[key] = entry
@@ -225,6 +258,7 @@ class DiffMemo:
         sound as the original write; an already-localized entry is left
         alone.
         """
+        self._touched.add(key)
         existing = self._entries.get(key)
         if existing is not None and existing.get("localized"):
             return
@@ -243,6 +277,7 @@ class DiffMemo:
         must only ever contain full entries.  First write wins, and a
         seed never overwrites an existing full entry.
         """
+        self._touched.add(key)
         if key in self._entries:
             return
         self._entries[key] = entry
@@ -251,12 +286,15 @@ class DiffMemo:
     def get_vectors(self, universe_id: str) -> Optional[Dict]:
         """Memoized per-fingerprint bitset vectors for one universe."""
         vectors = self._vectors.get(universe_id)
+        if vectors is not None:
+            self._touched_vectors.add(universe_id)
         perf.add("memo.vector_hits" if vectors is not None else "memo.vector_misses")
         return vectors
 
     def put_vectors(self, universe_id: str, vectors: Dict) -> None:
         """Memoize one universe's per-fingerprint bitset vectors."""
         self._vectors[universe_id] = vectors
+        self._touched_vectors.add(universe_id)
 
     def take_updates(self) -> Dict[MemoKey, Dict]:
         """Drain entries added since the last drain (worker → parent)."""
@@ -272,6 +310,7 @@ class DiffMemo:
         round trip.
         """
         for key, entry in updates.items():
+            self._touched.add(key)
             existing = self._entries.get(key)
             if existing is not None and (
                 existing.get("localized") or not entry.get("localized")
@@ -282,6 +321,28 @@ class DiffMemo:
             if self._cache is not None:
                 self._cache.put_diff(key, entry)
 
+    def settle(self) -> Dict[str, int]:
+        """End one use: keep what it touched, return its counts.
+
+        Entries and vectors the use neither read nor wrote are dropped
+        (a read-through cache still holds every persisted entry),
+        pending updates are drained, and the per-use counts start over.
+        """
+        self._entries = {
+            key: self._entries[key]
+            for key in self._touched
+            if key in self._entries
+        }
+        self._vectors = {
+            universe_id: self._vectors[universe_id]
+            for universe_id in self._touched_vectors
+            if universe_id in self._vectors
+        }
+        self._updates = {}
+        counts = self.counts
+        self._reset_use()
+        return counts
+
     # -- pickling: entries travel, the cache handle stays home ---------------
     def __getstate__(self) -> Dict:
         return {"entries": dict(self._entries)}
@@ -291,3 +352,4 @@ class DiffMemo:
         self._updates = {}
         self._cache = None
         self._vectors = {}
+        self._reset_use()

@@ -28,8 +28,9 @@
   (:class:`repro.service.ServiceThread`, the real HTTP/JSON path:
   submit, queue, supervised execution, poll) and compared
   byte-for-byte against the in-process
-  :func:`~repro.core.fleet.compare_fleet` report; a divergence is
-  shrunk by dropping devices,
+  :func:`~repro.core.fleet.compare_fleet` report, both cold and
+  through a cached daemon's resident and disk-warm paths; a divergence
+  is shrunk by dropping devices,
 
 each derived deterministically from the run seed.  A failing check is
 *shrunk* — lines, clauses, matches, and sets are removed greedily while
@@ -49,11 +50,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import random
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..model.acl import Acl
 from ..model.routemap import (
@@ -1282,10 +1284,21 @@ def _service_roundtrip(url: str, configs) -> dict:
     raise RuntimeError("service job did not finish within 120s")
 
 
-def _service_mismatch(url: str, devices) -> Optional[str]:
+def _wire_configs(devices) -> List[Dict[str, str]]:
+    """The service payload's ``configs`` list for parsed devices."""
+    return [
+        {
+            "name": f"{device.hostname}.cfg",
+            "text": "\n".join(device.raw_lines) + "\n",
+        }
+        for device in devices
+    ]
+
+
+def _service_mismatch(url: str, configs) -> Optional[str]:
     """One-line description of an HTTP/in-process divergence, else None.
 
-    Both sides parse the same rendered texts (not the already-parsed
+    Both sides parse the same config texts (not already-parsed
     devices), so the comparison covers the service's parse path too;
     reports are compared as canonical JSON bytes — the byte-identity
     contract ``fleet --json`` already guarantees across runs.
@@ -1296,13 +1309,6 @@ def _service_mismatch(url: str, devices) -> Optional[str]:
     from ..core.serialize import fleet_report_to_dict
     from ..parsers import parse_config
 
-    configs = [
-        {
-            "name": f"{device.hostname}.cfg",
-            "text": "\n".join(device.raw_lines) + "\n",
-        }
-        for device in devices
-    ]
     parsed = [
         parse_config(config["text"], filename=config["name"], dialect="auto")
         for config in configs
@@ -1330,6 +1336,50 @@ def _service_mismatch(url: str, devices) -> Optional[str]:
     return None
 
 
+def _warm_service_mismatch(
+    directory: str, configs, case_seed: int
+) -> Optional[str]:
+    """Divergence of a cached daemon's warm jobs, else None.
+
+    A fresh daemon with a cache under ``directory`` takes the fleet
+    cold, then with one device mutated (the others resident), then the
+    original again (the reverted device read back from disk); a second
+    daemon over the same cache takes the original once more, every
+    device and diff disk-warm.  Each report must match in-process
+    ``compare_fleet`` byte for byte.
+    """
+    from ..service import ServiceConfig, ServiceThread
+
+    rng = random.Random(case_seed)
+    victim = rng.randrange(len(configs))
+    mutation = apply_random_mutation(configs[victim]["text"], seed=case_seed)
+    mutated = [dict(config) for config in configs]
+    if mutation is not None:
+        mutated[victim]["text"] = mutation.text
+    config = ServiceConfig(
+        port=0,
+        journal_path=f"{directory}/journal.jsonl",
+        cache_dir=f"{directory}/cache",
+        workers=1,
+        job_concurrency=1,
+    )
+    steps = (
+        ("cold", configs),
+        ("resident, one device mutated", mutated),
+        ("resident, mutation reverted", configs),
+    )
+    with ServiceThread(config) as service:
+        for label, fleet in steps:
+            detail = _service_mismatch(service.url, fleet)
+            if detail is not None:
+                return f"cached daemon, {label}: {detail}"
+    with ServiceThread(config) as service:
+        detail = _service_mismatch(service.url, configs)
+        if detail is not None:
+            return f"cached daemon, disk-warm after restart: {detail}"
+    return None
+
+
 def _run_service_case(
     case_seed: int, result: SelfCheckResult
 ) -> Optional[SelfCheckFailure]:
@@ -1339,7 +1389,9 @@ def _run_service_case(
     disabled so every run is cold) analyzes the fleet via the real
     submit/queue/supervise/poll path; the returned report must be
     byte-identical JSON to the in-process ``compare_fleet`` over the
-    same texts.  A divergence is shrunk by dropping devices.
+    same texts.  A cached daemon then runs the warm sequence of
+    :func:`_warm_service_mismatch`.  A divergence is shrunk by dropping
+    devices.
     """
     import tempfile
 
@@ -1363,14 +1415,24 @@ def _run_service_case(
             job_concurrency=1,
         )
         with ServiceThread(config) as service:
-            detail = _service_mismatch(service.url, devices)
+            attempts = itertools.count()
+
+            def mismatch(fleet) -> Optional[str]:
+                configs = _wire_configs(fleet)
+                return _service_mismatch(
+                    service.url, configs
+                ) or _warm_service_mismatch(
+                    f"{tmp}/warm-{next(attempts)}", configs, case_seed
+                )
+
+            detail = mismatch(devices)
             if detail is None:
                 result.differences += 0
                 return None
 
             def fails(fleet) -> bool:
                 try:
-                    return _service_mismatch(service.url, fleet) is not None
+                    return mismatch(fleet) is not None
                 except Exception:  # noqa: BLE001 - shrunk fleet may differ
                     return False
 
@@ -1387,7 +1449,7 @@ def _run_service_case(
                 f"fleet of {len(devices)}: "
                 + ", ".join(device.hostname for device in devices)
             ]
-            final_detail = _service_mismatch(service.url, devices) or detail
+            final_detail = mismatch(devices) or detail
     return SelfCheckFailure(
         "service",
         case_seed,

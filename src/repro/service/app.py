@@ -10,7 +10,10 @@ supervisor, and the HTTP front end into one ``asyncio`` process:
 * **Runners** claim queued jobs (per-tenant quotas + backoff gates
   enforced by the queue) and execute them on a thread pool via
   :meth:`Supervisor.run_job`, each tenant against its own cache
-  namespace.  Blocking analysis never runs on the event loop.
+  namespace and resident state.  Blocking analysis never runs on the
+  event loop.  An idle runner sleeps until a submission or shutdown
+  wakes it, or until the earliest backoff gate opens; a runner that
+  settles a job claims the next one itself.
 * **Admission** is bounded: a full queue answers 429 with
   ``Retry-After``; ``/readyz`` flips to 503 the moment a new job
   would be refused, while ``/healthz`` stays 200 for liveness even
@@ -50,6 +53,11 @@ from .supervisor import CircuitBreaker, JobError, Supervisor
 __all__ = ["ServiceConfig", "AnalysisService", "ServiceThread"]
 
 JOURNAL_ENV = "CAMPION_JOURNAL"
+
+#: Longest an idle runner sleeps without being woken.  Submissions and
+#: shutdown wake runners at once; this only bounds the cost of a
+#: wake-up the daemon failed to send.
+IDLE_WAIT = 1.0
 
 
 def default_journal_path() -> pathlib.Path:
@@ -135,6 +143,7 @@ class AnalysisService:
         self._started_at = time.time()
         self._draining = False
         self._stop: Optional[asyncio.Event] = None
+        self._work: Optional[asyncio.Event] = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.job_concurrency,
             thread_name_prefix="campion-job",
@@ -145,11 +154,13 @@ class AnalysisService:
         """Begin a graceful drain (idempotent, thread-safe via loop)."""
         if self._stop is not None:
             self._stop.set()
+            self._work.set()
 
     async def serve(self) -> None:
         """Run until a shutdown is requested, then drain and exit."""
         loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
+        self._work = asyncio.Event()
         self.recovery = self.queue.recover()
         if self.recovery.get("requeued") or self.recovery.get(
             "dead_lettered"
@@ -195,24 +206,25 @@ class AnalysisService:
         while not self._stop.is_set():
             job = self.queue.claim()
             if job is None:
+                # Nothing awaits between the claim and the clear, so a
+                # submission after the claim always finds the event
+                # cleared and wakes this runner.
+                self._work.clear()
                 gate = self.queue.next_wakeup()
-                delay = 0.05 if gate is None else min(max(gate, 0.01), 0.5)
+                delay = (
+                    IDLE_WAIT if gate is None else min(max(gate, 0.01), 0.5)
+                )
                 try:
-                    await asyncio.wait_for(self._stop.wait(), timeout=delay)
+                    await asyncio.wait_for(self._work.wait(), timeout=delay)
                 except asyncio.TimeoutError:
                     pass
                 continue
-            tenant_cache = (
-                self.cache.namespace(job.tenant)
-                if self.cache is not None
-                else None
-            )
             try:
                 result = await loop.run_in_executor(
                     self._executor,
                     self.supervisor.run_job,
                     job.payload,
-                    tenant_cache,
+                    job.tenant,
                 )
             except JobError as exc:
                 self.queue.fail(job, str(exc), permanent=exc.permanent)
@@ -292,6 +304,7 @@ class AnalysisService:
             job = self.queue.submit(payload=body, tenant=tenant)
         except QueueFull as exc:
             return 429, {"error": str(exc)}, {"Retry-After": "1"}
+        self._work.set()
         return (
             202,
             {"job": job.summary(), "href": f"/v1/jobs/{job.id}"},

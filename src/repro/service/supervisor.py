@@ -5,7 +5,9 @@ texts + options) and the analysis pipeline.  One job = parse every
 config (through the tenant's cache namespace) and run
 :func:`~repro.core.fleet.compare_fleet` with a
 :class:`~repro.core.memo.DiffMemo` in front, so a warm re-push only
-analyzes changed pairs.
+analyzes changed pairs.  Each tenant's parsed devices and memo stay
+resident between its jobs (:class:`TenantLease`), so a warm push
+reads from disk only what the previous job did not touch.
 
 Worker death is handled at two levels.  :mod:`repro.core.parallel`
 already classifies a died worker as a per-pair ``crashed`` outcome
@@ -32,17 +34,25 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from .. import perf
 from ..cache import ArtifactCache
 from ..core import DiffMemo, compare_fleet, fleet_report_to_dict
+from ..model.device import DeviceConfig
 from ..model.types import ConfigError
 from ..parsers import parse_config
 
-__all__ = ["CircuitBreaker", "Supervisor", "JobError"]
+__all__ = ["CircuitBreaker", "Supervisor", "JobError", "TenantLease"]
 
 _CRASH_MARKER = "worker-crashed"
+
+#: Idle tenant leases kept between jobs.  Past this the least recently
+#: returned one is dropped, and its tenant's next job reads through to
+#: the disk cache.  A lease out with a running job is not counted, so
+#: at most ``RESIDENT_TENANTS`` + job concurrency fleets are resident.
+RESIDENT_TENANTS = 4
 
 #: Compression mode names older payloads may carry, and the switch
 #: position each now means.
@@ -145,6 +155,61 @@ class CircuitBreaker:
             }
 
 
+class TenantLease:
+    """One tenant's analysis state, held by at most one job at a time.
+
+    ``cache`` is the tenant's cache namespace (``None`` without a
+    cache); ``devices`` maps its device digest (a content address:
+    text, filename, parse options and schema) to the parsed device;
+    ``memo`` is a :class:`DiffMemo` reading through to ``cache``.  Both
+    are as sound to reuse as the disk entries they mirror.
+    :meth:`settle` keeps only what the finished job touched, so a lease
+    holds one fleet's working set however many jobs it served.
+    """
+
+    def __init__(
+        self, cache: Optional[ArtifactCache], tenant: Optional[str] = None
+    ) -> None:
+        self.tenant = tenant
+        self.cache = cache
+        self.memo = DiffMemo(cache)
+        self.devices: Dict[str, DeviceConfig] = {}
+        self._used: Dict[str, DeviceConfig] = {}
+        self.device_hits = 0
+
+    def parse(self, name: str, text: str, dialect: str, strict: bool):
+        """The parsed device: resident, else cached on disk, else parsed."""
+        cache = self.cache
+        if cache is None:
+            return parse_config(
+                text, filename=name, dialect=dialect, strict=strict
+            )
+        digest = cache.device_digest(text, name, dialect, strict)
+        device = self.devices.get(digest)
+        if device is not None:
+            perf.add("cache.device.hits")
+            perf.add("service.resident.device_hits")
+            self.device_hits += 1
+        else:
+            device = cache.get_device(text, name, dialect, strict)
+            if device is not None:
+                self.device_hits += 1
+            else:
+                device = parse_config(
+                    text, filename=name, dialect=dialect, strict=strict
+                )
+                cache.put_device(text, name, dialect, strict, device)
+        self._used[digest] = device
+        return device
+
+    def settle(self) -> Dict[str, int]:
+        """End the job: keep what it touched; its cache counts."""
+        self.devices, self._used = self._used, {}
+        counts = dict(self.memo.settle(), device_hits=self.device_hits)
+        self.device_hits = 0
+        return counts
+
+
 class Supervisor:
     """Executes job payloads through the pipeline, supervised."""
 
@@ -163,6 +228,39 @@ class Supervisor:
         self.node_limit = node_limit
         self.set_backend = set_backend
         self.breaker = breaker or CircuitBreaker()
+        self._leases_lock = threading.Lock()
+        # Idle leases by tenant, least recently returned first.
+        self._leases: "OrderedDict[Optional[str], TenantLease]" = (
+            OrderedDict()
+        )
+
+    def _take_lease(self, tenant: Optional[str]) -> TenantLease:
+        """The tenant's idle lease, or a fresh one on its namespace.
+
+        Without a cache every job starts cold.  A job whose tenant's
+        lease is out (another of its jobs is running) gets a fresh one.
+        ``tenant=None`` is the supervisor's own cache root.
+        """
+        if self.cache is None:
+            return TenantLease(None)
+        with self._leases_lock:
+            lease = self._leases.pop(tenant, None)
+        if lease is None:
+            cache = (
+                self.cache if tenant is None else self.cache.namespace(tenant)
+            )
+            lease = TenantLease(cache, tenant)
+        return lease
+
+    def _return_lease(self, lease: TenantLease) -> None:
+        """Keep a settled lease idle (the last returned wins a tenant)."""
+        if lease.cache is None:
+            return
+        with self._leases_lock:
+            self._leases.pop(lease.tenant, None)
+            self._leases[lease.tenant] = lease
+            while len(self._leases) > RESIDENT_TENANTS:
+                self._leases.popitem(last=False)
 
     # -- payload -------------------------------------------------------------
     @staticmethod
@@ -197,38 +295,41 @@ class Supervisor:
         return pairs
 
     # -- execution -----------------------------------------------------------
-    def run_job(self, payload: Dict, tenant_cache: Optional[ArtifactCache]) -> Dict:
+    def run_job(self, payload: Dict, tenant: Optional[str] = None) -> Dict:
         """Run one fleet analysis; blocking (call from a worker thread).
+
+        With a cache, the job runs against ``tenant``'s namespace of it
+        (the cache root itself for ``None``) and that tenant's lease.
 
         Returns the job result document: the timing-free serialized
         fleet report plus supervision metadata (quarantined pairs,
-        execution mode, cache/memo deltas for warm-push verification).
-        Raises :class:`JobError` with a permanence classification on
-        failure.
+        execution mode, this job's own cache/memo counts for warm-push
+        verification).  Raises :class:`JobError` with a permanence
+        classification on failure.
         """
         configs = self.validate_payload(payload)
-        cache = tenant_cache if tenant_cache is not None else self.cache
         requested = int(payload.get("workers") or self.workers)
         effective_workers = self.breaker.decide_workers(requested)
         if effective_workers < requested:
             perf.add("service.jobs.degraded_serial")
+        # Process-wide counters: pool and DAG-cache events are not
+        # scoped to a job, so these deltas can include a concurrent
+        # job's events.
         counter_base = {
             name: perf.REGISTRY.counters.get(name, 0)
             for name in (
-                "cache.device.hits",
-                "cache.diff.hits",
-                "memo.hits",
-                "memo.misses",
-                "memo.localization_replays",
                 "header_localize.dag_cache_hits",
                 "parallel.worker_crashes",
                 "parallel.pool_respawns",
             )
         }
+        lease = self._take_lease(tenant)
+        dialect = payload.get("dialect") or "auto"
+        strict = bool(payload.get("strict", False))
         crashed = False
         try:
             devices = [
-                self._parse(name, text, payload, cache)
+                lease.parse(name, text, dialect, strict)
                 for name, text in configs
             ]
             report = compare_fleet(
@@ -242,7 +343,7 @@ class Supervisor:
                 node_limit=self._int_option(
                     payload, "node_limit", self.node_limit
                 ),
-                memo=DiffMemo(cache) if cache is not None else None,
+                memo=lease.memo,
                 set_backend=payload.get("set_backend") or self.set_backend,
                 compress=self._compress_option(payload),
             )
@@ -260,6 +361,7 @@ class Supervisor:
                 permanent=False,
             )
         finally:
+            counts = lease.settle()
             deltas = {
                 name: perf.REGISTRY.counters.get(name, 0) - base
                 for name, base in counter_base.items()
@@ -268,6 +370,7 @@ class Supervisor:
             self.breaker.record(
                 crashed=crashed, parallel_job=effective_workers > 1
             )
+        self._return_lease(lease)
         quarantined = {
             f"{first}<->{second}": cause
             for (first, second), cause in report.failed_pairs.items()
@@ -312,34 +415,14 @@ class Supervisor:
                 "quarantined_pairs": quarantined,
             },
             "cache": {
-                "device_hits": deltas["cache.device.hits"],
-                "diff_hits": deltas["cache.diff.hits"],
-                "memo_hits": deltas["memo.hits"],
-                "memo_misses": deltas["memo.misses"],
-                "localization_replays": deltas["memo.localization_replays"],
+                "device_hits": counts["device_hits"],
+                "diff_hits": counts["diff_hits"],
+                "memo_hits": counts["memo_hits"],
+                "memo_misses": counts["memo_misses"],
+                "localization_replays": counts["localization_replays"],
                 "dag_cache_hits": deltas["header_localize.dag_cache_hits"],
             },
         }
-
-    def _parse(
-        self,
-        name: str,
-        text: str,
-        payload: Dict,
-        cache: Optional[ArtifactCache],
-    ):
-        dialect = payload.get("dialect") or "auto"
-        strict = bool(payload.get("strict", False))
-        if cache is not None:
-            device = cache.get_device(text, name, dialect, strict)
-            if device is not None:
-                return device
-        device = parse_config(
-            text, filename=name, dialect=dialect, strict=strict
-        )
-        if cache is not None:
-            cache.put_device(text, name, dialect, strict, device)
-        return device
 
     @staticmethod
     def _float_option(payload: Dict, key: str, default):

@@ -65,6 +65,32 @@ class TestWorkloadScaleGuard:
         assert _run(guard, baselines, results) == 1
         assert "workload_scale mismatch" in capsys.readouterr().err
 
+    def test_scale_mismatch_names_the_fresh_side_and_its_bench(
+        self, guard, dirs, capsys
+    ):
+        baselines, results = dirs
+        _write(
+            baselines,
+            "BENCH_localize.json",
+            {"collect_speedup": 10.0, "workload_scale": "smoke"},
+        )
+        _write(
+            results,
+            "BENCH_localize.json",
+            {"collect_speedup": 10.0, "workload_scale": "full"},
+        )
+        assert _run(guard, baselines, results) == 1
+        message = capsys.readouterr().err
+        assert "fresh result" in message and "is 'full' scale" in message
+        assert "rerun benchmarks/bench_localize.py at the 'smoke' scale" in (
+            message
+        )
+
+    def test_every_tracked_artifact_names_its_bench(self, guard):
+        assert set(guard.SCRIPTS) == set(guard.TRACKED)
+        benchmarks = _MODULE_PATH.parent
+        assert all((benchmarks / script).exists() for script in guard.SCRIPTS.values())
+
     def test_matching_scales_compare_normally(self, guard, dirs):
         baselines, results = dirs
         _write(

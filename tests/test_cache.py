@@ -157,6 +157,96 @@ class TestDiffStore:
         assert len(list(small._entries("diffs"))) == 3
         assert perf.snapshot()["counters"].get("cache.evictions", 0) == 3
 
+    @staticmethod
+    def _count_scans(cache, monkeypatch):
+        scans = []
+        entries = cache._entries
+
+        def counted(store):
+            scans.append(store)
+            return entries(store)
+
+        monkeypatch.setattr(cache, "_entries", counted)
+        return scans
+
+    def test_writes_below_capacity_scan_the_store_once(
+        self, cache, monkeypatch
+    ):
+        scans = self._count_scans(cache, monkeypatch)
+        for index in range(100):
+            cache.put_diff(acl_key(f"fp{index}", "x"), {"count": 0})
+        assert scans == ["diffs"]
+        assert len(list(ArtifactCache(cache.root)._entries("diffs"))) == 100
+
+    def test_writes_past_capacity_rescan_once_per_eighth(
+        self, tmp_path, monkeypatch
+    ):
+        """A rescan over the bound trims an eighth below it, so a full
+        store is listed once per ``max_entries // 8 + 1`` writes."""
+        full = ArtifactCache(tmp_path / "full", max_entries=64)
+        reader = ArtifactCache(full.root)
+        scans = self._count_scans(full, monkeypatch)
+        perf.reset()
+        for index in range(64 + 90):
+            full.put_diff(acl_key(f"fp{index}", "x"), {"n": 1})
+            assert len(list(reader._entries("diffs"))) <= 64
+        # The first write, then the 65th and every 9th write after it.
+        assert len(scans) == 1 + 10
+        assert len(list(reader._entries("diffs"))) == 56 + 8
+        assert perf.snapshot()["counters"]["cache.evictions"] == 90
+
+    def test_clear_resets_the_count(self, tmp_path, monkeypatch):
+        small = ArtifactCache(tmp_path / "small", max_entries=3)
+        scans = self._count_scans(small, monkeypatch)
+        for index in range(3):
+            small.put_diff(acl_key(f"fp{index}", "x"), {"count": 0})
+        small.clear()
+        small.put_diff(acl_key("after", "x"), {"count": 0})
+        assert scans.count("diffs") == 2 + 1  # first write, clear, rescan
+
+    def test_threads_sharing_an_instance_keep_the_count(self, tmp_path):
+        """The count is updated under the store lock: a lost update
+        would leave the store above the bound after the last write."""
+        import sys
+        import threading
+
+        small = ArtifactCache(tmp_path / "small", max_entries=5)
+
+        def writer(number):
+            for index in range(25):
+                small.put_diff(acl_key(f"fp{number}-{index}", "x"), {"n": 1})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(number,))
+                for number in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(list(small._entries("diffs"))) == 5
+
+    def test_instances_sharing_a_root_stay_bounded(self, tmp_path):
+        """Each writer rescans once its own count passes the bound, so
+        the store holds at most one bound's worth of writes per writer
+        and every rescan trims it back to the bound."""
+        root = tmp_path / "shared"
+        writers = [
+            ArtifactCache(root, max_entries=4),
+            ArtifactCache(root, max_entries=4),
+        ]
+        reader = ArtifactCache(root)
+        for index in range(30):
+            writers[index % 2].put_diff(acl_key(f"fp{index}", "x"), {"n": 1})
+            assert len(list(reader._entries("diffs"))) <= 2 * 4
+        assert len(list(reader._entries("diffs"))) == 4
+
 
 class TestMaintenance:
     def test_stats_and_clear(self, cache):
